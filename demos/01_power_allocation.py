@@ -6,7 +6,7 @@ and how much into null-space jamming (hurting only the eavesdropper)?
 The constraint is a floor gamma on the eavesdropper's estimation NMSE.
 
 This script sweeps the SNR, solves the split at each point, and
-cross-checks the line-search solution against a brute-force grid scan.
+cross-checks the closed-form solution against a brute-force grid scan.
 """
 
 import dataclasses
@@ -44,10 +44,10 @@ for gamma in (0.03, 0.1):
 # the split is remarkably stable across SNR: pilots take roughly half the
 # budget and the eavesdropper constraint stays exactly active (pred ur == gamma)
 
-print("\n=== line search vs brute-force grid (gamma = 0.03, 20 dB) ===")
+print("\n=== closed form vs brute-force grid (gamma = 0.03, 20 dB) ===")
 problem = PowerAllocationProblem(cfg)
 alloc = solve(problem)
 oracle = solve_grid_oracle(problem, grid_points=2000)
-print(f"line search: x={alloc.x:.6f}  y={alloc.y:.6f}  objective={alloc.objective:.6e}")
+print(f"closed form: x={alloc.x:.6f}  y={alloc.y:.6f}  objective={alloc.objective:.6e}")
 print(f"grid oracle: x={oracle.x:.6f}  y={oracle.y:.6f}  objective={oracle.objective:.6e}")
 print(f"relative objective gap: {(alloc.objective - oracle.objective) / oracle.objective:+.2e}")

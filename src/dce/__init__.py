@@ -10,20 +10,17 @@ reproducible Monte Carlo harness with a CLI.
 """
 
 from .analysis import (
-    NmseSummary,
     empirical_nmse,
     nmse_lr_attack_closed,
     nmse_lr_closed,
     nmse_ur_closed,
     snr_to_sigma0_sq,
-    summarize,
 )
 from .attack import AttackScenario, contaminate_reverse
 from .channel import (
     ChannelRealization,
     SystemConfig,
     WRDecomposition,
-    add_awgn,
     sample_channels,
     wr_decompose,
 )
@@ -38,7 +35,7 @@ from .estimators import (
     wr_estimate_lr,
     wr_estimate_ur,
 )
-from .linalg import RngStream, SvdResult, complex_gaussian, left_null_basis, orthonormal_rows, svd
+from .linalg import RngStream, SvdResult, complex_gaussian, orthonormal_rows, svd
 from .power_allocation import (
     PowerAllocation,
     PowerAllocationProblem,

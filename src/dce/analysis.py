@@ -9,38 +9,18 @@ simulation results for the empirical behaviour).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import SystemConfig
 from .errors import DimensionError
 
 __all__ = [
-    "NmseSummary",
     "empirical_nmse",
-    "summarize",
     "nmse_lr_closed",
     "nmse_ur_closed",
     "nmse_lr_attack_closed",
     "snr_to_sigma0_sq",
 ]
-
-
-@dataclass(frozen=True)
-class NmseSummary:
-    """Aggregated empirical NMSE, optionally next to its closed-form prediction."""
-
-    empirical_mean: float
-    trials: int
-    closed_form: float | None = None
-
-    @property
-    def relative_gap(self) -> float | None:
-        if self.closed_form is None or self.closed_form <= 0:
-            return None
-        return abs(self.empirical_mean - self.closed_form) / self.closed_form
 
 
 def empirical_nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -49,17 +29,6 @@ def empirical_nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
         raise DimensionError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
     diff = estimate - truth
     return float(np.real(np.vdot(diff, diff))) / diff.size
-
-
-def summarize(per_trial: list[float], closed_form: float | None = None) -> NmseSummary:
-    """Order-independent mean of per-trial NMSE values (exact summation)."""
-    if not per_trial:
-        raise ValueError("need at least one trial")
-    return NmseSummary(
-        empirical_mean=math.fsum(per_trial) / len(per_trial),
-        trials=len(per_trial),
-        closed_form=closed_form,
-    )
 
 
 def nmse_lr_closed(cfg: SystemConfig, p0: float, p1: float, sigma_a_sq: float) -> float:

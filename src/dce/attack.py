@@ -55,7 +55,9 @@ def contaminate_reverse(
     x0_clean is the attack-free observation H^T S0 + E0.  For an active
     scenario the injected component G^T S0_bar plus a fresh noise draw is
     added on top.  Injection requires n_u == n_l antennas at the attacker
-    so its pilot matrix can mirror the legitimate one.
+    so its pilot matrix can mirror the legitimate one.  A silent attacker
+    (p0_bar = 0) transmits nothing, so it adds no front-end noise either:
+    the clean observation comes back and nothing is drawn.
     """
     if scenario.mode == "none":
         return x0_clean
@@ -63,6 +65,8 @@ def contaminate_reverse(
         raise DimensionError(
             f"pilot injection needs n_u == n_l to mirror the pilot shape, got n_u={cfg.n_u}, n_l={cfg.n_l}"
         )
+    if scenario.p0_bar == 0:
+        return x0_clean
     attack = build_attack_signal(
         cfg,
         scenario.p0_bar,

@@ -20,7 +20,6 @@ __all__ = [
     "WRDecomposition",
     "sample_channels",
     "wr_decompose",
-    "add_awgn",
 ]
 
 
@@ -30,7 +29,7 @@ class SystemConfig:
 
     n_t, n_l, n_u: transmitter / legitimate receiver / eavesdropper antennas.
     t0, t1: reverse and forward training lengths in symbols.
-    sigma_h_sq, sigma_g_sq, sigma_b_sq: per-entry channel variances.
+    sigma_h_sq, sigma_g_sq: per-entry channel variances.
     sigma0_sq: receiver noise variance, p_ave: per-phase power budget,
     gamma: lower bound enforced on the eavesdropper's estimation NMSE.
     """
@@ -42,7 +41,6 @@ class SystemConfig:
     t1: int = 140
     sigma_h_sq: float = 1.0
     sigma_g_sq: float = 1.0
-    sigma_b_sq: float = 1.0
     sigma0_sq: float = 0.01
     p_ave: float = 1.0
     gamma: float = 0.03
@@ -56,7 +54,7 @@ class SystemConfig:
             raise DimensionError(f"t0={self.t0} < n_l={self.n_l}: reverse pilots cannot be orthogonal")
         if self.t1 < self.n_t:
             raise DimensionError(f"t1={self.t1} < n_t={self.n_t}: forward pilots cannot be orthogonal")
-        for name in ("sigma_h_sq", "sigma_g_sq", "sigma_b_sq", "sigma0_sq"):
+        for name in ("sigma_h_sq", "sigma_g_sq", "sigma0_sq"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.p_ave <= 0:
@@ -67,11 +65,10 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One block-fading draw: downlink h (n_l, n_t), g (n_u, n_t), b (n_u, n_l)."""
+    """One block-fading draw: downlink h (n_l, n_t) and wiretap g (n_u, n_t)."""
 
     h: np.ndarray
     g: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,11 +80,10 @@ class WRDecomposition:
 
 
 def sample_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one independent Rayleigh flat-fading realization of all three channels."""
+    """Draw one independent Rayleigh flat-fading realization of both channels."""
     h = complex_gaussian(rng, cfg.n_l, cfg.n_t, cfg.sigma_h_sq)
     g = complex_gaussian(rng, cfg.n_u, cfg.n_t, cfg.sigma_g_sq)
-    b = complex_gaussian(rng, cfg.n_u, cfg.n_l, cfg.sigma_b_sq)
-    return ChannelRealization(h=h, g=g, b=b)
+    return ChannelRealization(h=h, g=g)
 
 
 def wr_decompose(a: np.ndarray) -> WRDecomposition:
@@ -106,10 +102,3 @@ def wr_decompose(a: np.ndarray) -> WRDecomposition:
     q = res.v
     return WRDecomposition(w=w, q=q)
 
-
-def add_awgn(signal: np.ndarray, sigma0_sq: float, rng: np.random.Generator) -> np.ndarray:
-    """Signal plus i.i.d. CN(0, sigma0_sq) receiver noise of matching shape."""
-    if sigma0_sq < 0:
-        raise ValueError("sigma0_sq must be >= 0")
-    rows, cols = signal.shape
-    return signal + complex_gaussian(rng, rows, cols, sigma0_sq)

@@ -9,6 +9,14 @@ needed), while each receiver splits its channel into a whitening factor
 estimated from the pilot correlation and a unitary rotation solved in
 closed form as an orthogonal Procrustes problem.
 
+Both schemes rest on one identity.  build_reverse_signal and
+build_forward_signal send orthonormal-row pilots scaled by sqrt(energy),
+so S S^H = energy I.  Then the whitening-rotation estimate reduces
+exactly to the least-squares pilot correlation obs S^H / energy, and the
+LMMSE estimate is that correlation times a scalar shrinkage.  The Monte Carlo trial computes the correlation
+directly; wr_estimate_lr / wr_estimate_ur keep the factorisation as the
+readable reference the tests compare it against.
+
 Orientation conventions: x0 is the (n_t, t0) reverse-phase observation,
 x1 / y1 are (rx, t1) forward-phase observations.  Uplink estimates are
 returned as (n_t, n_l) matrices approximating H^T so the null-space
@@ -43,7 +51,6 @@ class UplinkEstimate:
     """(n_t, n_l) estimate of the uplink channel H^T or of its whitening factor."""
 
     matrix: np.ndarray
-    kind: str  # "lmmse_channel" | "blind_whitening"
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,29 @@ class ChannelEstimate:
     rotation: np.ndarray | None = None
 
 
+def pilot_correlation(obs: np.ndarray, pilots: np.ndarray, energy: float) -> np.ndarray:
+    """Least-squares channel estimate obs @ pilots^H / energy.
+
+    Requires pilots @ pilots^H = energy I, the orthonormal-row pilots the
+    training module builds (energy p0 t0 / n_l for the reverse pilots,
+    p1 t1 / n_t for the forward pilot part).  A forward observation gives
+    an (rx, n_t) downlink estimate, a reverse one an (n_t, n_l) estimate
+    of H^T.
+    """
+    return obs @ pilots.conj().T / energy
+
+
+def _lmmse(obs: np.ndarray, pilots: np.ndarray, energy: float, sigma_ch_sq: float, sigma0_sq: float) -> np.ndarray:
+    # Under S S^H = energy I the textbook estimate
+    # [sigma^2 (sigma^2 S S^H + sigma0^2 I)^-1 S obs^H]^H is the pilot
+    # correlation shrunk by alpha = sigma^2 energy / (sigma^2 energy + sigma0^2);
+    # a zero denominator means nothing to estimate, and the estimate is 0.
+    signal = sigma_ch_sq * energy
+    total = signal + sigma0_sq
+    alpha = signal / total if total > 0 else 0.0
+    return alpha * pilot_correlation(obs, pilots, energy)
+
+
 def lmmse_uplink(
     x0: np.ndarray,
     reverse: ReverseSignal,
@@ -63,23 +93,14 @@ def lmmse_uplink(
 ) -> UplinkEstimate:
     """LMMSE estimate of the uplink channel from known reverse pilots.
 
-    The textbook expression sigma_h^2 (sigma_h^2 S0 S0^H + sigma0^2 I)^-1
-    S0 X0^H produces a conjugated downlink-oriented matrix; it is returned
-    conjugate-transposed so the result is an (n_t, n_l) estimate of H^T.
-    With orthogonal pilots the estimator reduces to a scalar shrinkage of
-    the pilot correlation, and the shrinkage goes to 1 as sigma0_sq -> 0.
+    The reverse pilots have orthonormal rows scaled to energy
+    a = p0 t0 / n_l, so the estimate is the pilot correlation X0 S0^H / a
+    times alpha = sigma_h^2 a / (sigma_h^2 a + sigma0^2), an (n_t, n_l)
+    estimate of H^T; alpha goes to 1 as sigma0_sq -> 0.
     """
-    s0 = reverse.s0
-    n_l = s0.shape[0]
-    gram = sigma_h_sq * (s0 @ s0.conj().T) + sigma0_sq * np.eye(n_l)
-    rhs = s0 @ x0.conj().T
-    try:
-        printed = sigma_h_sq * np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        if sigma0_sq > 0:
-            raise NumericalError("singular regularized Gram matrix with sigma0_sq > 0")
-        printed = sigma_h_sq * (np.linalg.pinv(gram) @ rhs)
-    return UplinkEstimate(matrix=printed.conj().T, kind="lmmse_channel")
+    n_l, t0 = reverse.s0.shape
+    energy = reverse.p0 * t0 / n_l
+    return UplinkEstimate(matrix=_lmmse(x0, reverse.s0, energy, sigma_h_sq, sigma0_sq))
 
 
 def lmmse_downlink(
@@ -91,40 +112,34 @@ def lmmse_downlink(
     """LMMSE estimate of a downlink channel from the known forward pilots.
 
     Only the pilot part of the forward signal is known to a receiver, so
-    the correlation and Gram matrix use s1_pilot; the artificial-noise
-    residue is treated as part of the additive noise and the receiver
-    regularizes with sigma0_sq alone.  Output is (rx, n_t), oriented as
-    the downlink channel.
+    the correlation uses s1_pilot, whose orthonormal rows are scaled to
+    energy x = p1 t1 / n_t; the artificial-noise residue is treated as
+    part of the additive noise and the receiver regularizes with
+    sigma0_sq alone.  The estimate is X1 S1p^H / x times
+    alpha = sigma_ch^2 x / (sigma_ch^2 x + sigma0^2), oriented (rx, n_t)
+    as the downlink channel.
     """
-    s1p = forward.s1_pilot
-    n_t = s1p.shape[0]
-    gram = sigma_ch_sq * (s1p @ s1p.conj().T) + sigma0_sq * np.eye(n_t)
-    rhs = s1p @ x1.conj().T
-    try:
-        printed = sigma_ch_sq * np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        if sigma0_sq > 0:
-            raise NumericalError("singular regularized Gram matrix with sigma0_sq > 0")
-        printed = sigma_ch_sq * (np.linalg.pinv(gram) @ rhs)
-    return ChannelEstimate(matrix=printed.conj().T)
+    n_t, t1 = forward.s1_pilot.shape
+    energy = forward.p1 * t1 / n_t
+    return ChannelEstimate(matrix=_lmmse(x1, forward.s1_pilot, energy, sigma_ch_sq, sigma0_sq))
 
 
 def blind_whitening_tx(x0: np.ndarray, p0: float, t0: int, n_l: int) -> UplinkEstimate:
     """Blind whitening-factor estimate from the reverse-phase autocorrelation.
 
-    Forms R = X0 X0^H / ((p0 / n_l) t0), whose expectation is
-    H^T H^* plus an isotropic noise floor, and keeps the top-n_l
-    eigen-directions scaled by the square root of their eigenvalues.
-    Only the column space of the result is consumed downstream, so the
-    overall scale is immaterial.
+    Forms the Hermitian R = X0 X0^H / ((p0 / n_l) t0), whose expectation
+    is H^T H^* plus an isotropic noise floor, and keeps its top-n_l
+    eigenvectors, in descending order, scaled by the square root of their
+    eigenvalues.  Only the column space of the result is consumed
+    downstream, so the overall scale is immaterial.
     """
-    n_t, t0_obs = x0.shape
+    t0_obs = x0.shape[1]
     if t0_obs < n_l:
         raise DimensionError(f"t0={t0_obs} observations cannot resolve rank {n_l}")
     r = x0 @ x0.conj().T / ((p0 / n_l) * t0)
-    res = svd(r)
-    w0 = res.u[:, :n_l] * np.sqrt(res.sigma[:n_l])
-    return UplinkEstimate(matrix=w0, kind="blind_whitening")
+    vals, vecs = np.linalg.eigh(r)  # ascending order
+    vals, vecs = vals[::-1][:n_l], vecs[:, ::-1][:, :n_l]
+    return UplinkEstimate(matrix=vecs * np.sqrt(np.maximum(vals, 0.0)))
 
 
 def procrustes_rotation(cross: np.ndarray, order: str = "uv") -> np.ndarray:
@@ -158,10 +173,11 @@ def wr_estimate_lr(
     (ii) whitening factor W1 = V^* Sigma^T from its SVD; (iii) rotation
     cross-correlation X_Q = X1^* S1p^T W1 / ((p1/n_t) t1); (iv) unitary
     rotation Q1 as the Procrustes factor of X_Q; (v) channel estimate
-    Q1^* W1^T.
+    Q1^* W1^T.  Under orthonormal forward pilots the result equals X_W
+    itself, which is what the Monte Carlo trial computes.
     """
     scale = (p1 / n_t) * t1
-    xw = x1 @ s1_pilot.conj().T / scale
+    xw = pilot_correlation(x1, s1_pilot, scale)
     if not np.any(np.abs(xw) > 0):
         raise NumericalError("degenerate pilot correlation: received signal uncorrelated with pilots")
     res = svd(xw)
@@ -184,10 +200,11 @@ def wr_estimate_ur(
     Steps: (i) pilot correlation Y_M; (ii) whitening factor M = U Sigma
     from its SVD; (iii) rotation cross-correlation Y_R = M^H Y1 S1p^H /
     ((p1/n_t) t1); (iv) rotation R as the reversed Procrustes factor;
-    (v) channel estimate M R^H.
+    (v) channel estimate M R^H.  Under orthonormal forward pilots the
+    result equals Y_M itself, which is what the Monte Carlo trial computes.
     """
     scale = (p1 / n_t) * t1
-    ym = y1 @ s1_pilot.conj().T / scale
+    ym = pilot_correlation(y1, s1_pilot, scale)
     if not np.any(np.abs(ym) > 0):
         raise NumericalError("degenerate pilot correlation: received signal uncorrelated with pilots")
     res = svd(ym)

@@ -1,9 +1,10 @@
 """Dense complex linear algebra kernel and seeded randomness.
 
-Everything downstream (channel sampling, training design, estimation)
-goes through the helpers here, so the deterministic SVD phase convention
-and the stream-based RNG defined in this module fix the behaviour of the
-whole pipeline: same seeds in, bit-identical results out.
+Every draw in the pipeline comes from the stream-based RNG defined here,
+so the same seeds give bit-identical results.  The phase-fixed SVD backs
+the whitening-rotation reference (channel.wr_decompose, the Procrustes
+rotation, the WR estimators); it is not on the Monte Carlo trial path,
+which needs only pilot correlations, one eigh and one QR.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "SvdResult",
     "RngStream",
     "svd",
-    "left_null_basis",
     "complex_gaussian",
     "orthonormal_rows",
 ]
@@ -63,12 +63,11 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence((self.master_seed, self.stream_id))
-        return np.random.Generator(np.random.PCG64(seq))
-
     def substream(self, *path: int) -> np.random.Generator:
-        """Generator for a child stream, e.g. one per drawn quantity."""
+        """Generator for a child stream, e.g. one per drawn quantity.
+
+        With no path it is the generator of the stream itself.
+        """
         seq = np.random.SeedSequence((self.master_seed, self.stream_id) + path)
         return np.random.Generator(np.random.PCG64(seq))
 
@@ -121,22 +120,6 @@ def svd(a: np.ndarray) -> SvdResult:
         raise NumericalError(f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix") from exc
     u, vh = _fix_svd_phases(u, vh, k=s.size)
     return SvdResult(u=u, sigma=s, vh=vh)
-
-
-def left_null_basis(a: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis for the orthogonal complement of the top left singular subspace.
-
-    Returns an m x (m - rank) matrix N with N^H N = I and N^H U_r = 0,
-    where U_r spans the leading `rank` left singular directions of `a`.
-    The rank is passed explicitly because noisy inputs are numerically
-    full-rank.
-    """
-    a = np.asarray(a, dtype=complex)
-    m = a.shape[0]
-    if rank >= m:
-        raise DimensionError(f"left null space is empty: rank {rank} >= {m} rows")
-    res = svd(a)
-    return res.u[:, rank:]
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, variance: float) -> np.ndarray:

@@ -4,18 +4,18 @@ The design problem: minimize the legitimate receiver's predicted NMSE
 subject to (a) the eavesdropper's predicted NMSE staying above gamma,
 (b) the reverse power budget, (c) the forward pilot-plus-jamming budget.
 In the reformulated variables x = p1 t1 / n_t, y = (n_t - n_l) sigma_a_sq,
-z = p0 the problem collapses to a one-dimensional search over x: the
+z = p0 the problem collapses to a one-dimensional problem in x: the
 eavesdropper constraint is active at the optimum, which pins y(x), and
-the reverse power separates, which pins z = p_ave.
+the reverse power separates, which pins z = p_ave.  What is left is
+c1 / x + c2 on the feasible x interval, so the optimum is an endpoint.
 
-solve() runs a golden-section line search over the feasible x interval;
-solve_grid_oracle() exhaustively scans the original two-variable feasible
-set and is kept as an independent cross-check.
+solve() picks that endpoint in closed form; solve_grid_oracle()
+exhaustively scans the original two-variable feasible set and is kept as
+an independent cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "solve",
     "solve_grid_oracle",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -103,42 +101,18 @@ def feasible_x_interval(cfg: SystemConfig) -> tuple[float, float]:
     return x_min, x_max
 
 
-def solve(problem: PowerAllocationProblem, tol_factor: float = 1e-9) -> PowerAllocation:
-    """Golden-section line search over the feasible x interval.
+def solve(problem: PowerAllocationProblem) -> PowerAllocation:
+    """Optimal power split: the better endpoint of the feasible x interval.
 
-    The objective is c1/x + c2 here, so the optimum sits at an interval
-    endpoint depending on sign(c1); the search does not assume that
-    structure and simply narrows the bracket to tol_factor * x_max, then
-    keeps the best of the bracket endpoints and the interior point.
-    Ties resolve toward larger x (lower NMSE at the legitimate receiver).
+    With y(x) substituted the objective is c1/x + c2 with
+    c1 = sigma0^2 (1 - n_l sigma0^2 / (sigma_g^2 p_ave)), so the optimum
+    is x_max when c1 >= 0 (ties resolve toward larger x, lower NMSE at
+    the legitimate receiver) and x_min otherwise.
     """
     cfg = problem.cfg
     x_lo, x_hi = feasible_x_interval(cfg)
-    # x is strictly positive; with sigma0_sq = 0 the stated lower bound is 0
-    x_lo = max(x_lo, 1e-12 * x_hi)
-    tol = tol_factor * max(x_hi, 1.0)
-
-    a, b = x_lo, x_hi
-    # degenerate interval: gamma at a bound collapses the bracket
-    if b - a <= tol:
-        x_star = b
-    else:
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = problem.objective(c), problem.objective(d)
-        while b - a > tol:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = problem.objective(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = problem.objective(d)
-        x_star = 0.5 * (a + b)
-
-    candidates = [x_lo, x_star, x_hi]
-    best_x = max(candidates, key=lambda x: (-problem.objective(x), x))
+    c1 = cfg.sigma0_sq * (1.0 - cfg.n_l * cfg.sigma0_sq / (cfg.sigma_g_sq * cfg.p_ave))
+    best_x = x_hi if c1 >= 0 else x_lo
     y_star = max(problem.y_of_x(best_x), 0.0)
     z_star = cfg.p_ave
     return PowerAllocation(

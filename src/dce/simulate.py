@@ -2,11 +2,14 @@
 
 A trial runs the full two-way exchange once: reverse training (optionally
 contaminated), transmitter-side estimation, null-space jamming design,
-forward training, and estimation at both receivers.  Experiments sweep
-one dimension (SNR, forward training length, or attack power), solve the
-power allocation per sweep point, and aggregate per-trial NMSE values
-with exact summation so results are independent of trial ordering and
-worker count.
+forward training, and estimation at both receivers.  It computes only what
+the two NMSE values depend on: the receivers' least-squares pilot
+correlations (which the whitening-rotation estimate equals, see
+estimators), one eigh at the transmitter for the blind scheme and one QR
+for the jamming basis.  Experiments sweep one dimension (SNR, forward
+training length, or attack power), solve the power allocation per sweep
+point, and aggregate per-trial NMSE values with exact summation so
+results are independent of trial ordering and worker count.
 
 Randomness: trial i of sweep point s uses the stream
 (master_seed, s * 2**32 + i), with one substream per drawn quantity, so
@@ -19,21 +22,16 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analysis
 from .attack import AttackScenario, contaminate_reverse
-from .channel import SystemConfig, sample_channels, wr_decompose
+from .channel import SystemConfig, sample_channels
 from .errors import InfeasibleConfigError
-from .estimators import (
-    blind_whitening_tx,
-    lmmse_downlink,
-    lmmse_uplink,
-    wr_estimate_lr,
-    wr_estimate_ur,
-)
+from .estimators import blind_whitening_tx, lmmse_downlink, lmmse_uplink, pilot_correlation
 from .linalg import RngStream, complex_gaussian
 from .power_allocation import PowerAllocation, PowerAllocationProblem, solve
 from .training import build_an_basis, build_forward_signal, build_reverse_signal
@@ -52,8 +50,9 @@ SCHEMES = ("wr", "lmmse", "wr_perfect_csi")
 
 # Substream layout: _MAIN carries the draws every scheme consumes in the
 # same fixed order (channels, reverse noise, jamming, forward noises);
-# quantities that only some variants draw get their own substream so the
-# shared draws stay aligned in paired comparisons.
+# quantities that only some variants draw get their own substream, built
+# only by those variants, so the shared draws stay aligned in paired
+# comparisons.
 _MAIN, _REV_PILOT, _ATTACK = range(3)
 
 
@@ -134,13 +133,13 @@ def run_trial(
     if scheme == "wr_perfect_csi":
         uplink = ch.h.T  # genie: exact uplink channel, jamming perfectly nulled
     else:
-        reverse = build_reverse_signal(
-            cfg, allocation.p0, mode=pilot_mode, rng=stream.substream(_REV_PILOT)
-        )
+        rev_rng = stream.substream(_REV_PILOT) if pilot_mode == "random" else None
+        reverse = build_reverse_signal(cfg, allocation.p0, mode=pilot_mode, rng=rev_rng)
         x0 = ch.h.T @ reverse.s0 + e0
-        x0 = contaminate_reverse(
-            x0, ch.g, attack, cfg, stream.substream(_ATTACK), legit_c0=reverse.c0
-        )
+        if attack.mode != "none":
+            x0 = contaminate_reverse(
+                x0, ch.g, attack, cfg, stream.substream(_ATTACK), legit_c0=reverse.c0
+            )
         if scheme == "wr":
             uplink = blind_whitening_tx(x0, allocation.p0, cfg.t0, cfg.n_l).matrix
         else:
@@ -157,8 +156,10 @@ def run_trial(
         h_hat = lmmse_downlink(x1, forward, cfg.sigma_h_sq, cfg.sigma0_sq).matrix
         g_hat = lmmse_downlink(y1, forward, cfg.sigma_g_sq, cfg.sigma0_sq).matrix
     else:
-        h_hat = wr_estimate_lr(x1, forward.s1_pilot, allocation.p1, cfg.t1, cfg.n_t).matrix
-        g_hat = wr_estimate_ur(y1, forward.s1_pilot, allocation.p1, cfg.t1, cfg.n_t).matrix
+        # the whitening-rotation estimates (wr_estimate_lr / _ur) equal these
+        x = allocation.p1 * cfg.t1 / cfg.n_t
+        h_hat = pilot_correlation(x1, forward.s1_pilot, x)
+        g_hat = pilot_correlation(y1, forward.s1_pilot, x)
 
     return (
         analysis.empirical_nmse(h_hat, ch.h),
@@ -198,81 +199,88 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRow]:
 
     Infeasible sweep points (gamma outside its bounds at that operating
     point) produce a row with empty value fields and the run continues.
+    With workers > 1 one process pool serves every sweep point.
     """
-    rows: list[ResultRow] = []
-    for sweep_index, (kind, value) in enumerate(spec.sweep()):
-        cfg = replace(spec.cfg, gamma=spec.gamma)
-        attack = spec.attack
-        if kind == "snr_db":
-            cfg = replace(cfg, sigma0_sq=analysis.snr_to_sigma0_sq(value))
-        elif kind == "t1":
-            cfg = replace(
-                cfg,
-                t1=int(value),
-                sigma0_sq=analysis.snr_to_sigma0_sq(spec.snr_db_grid[0]),
-            )
-        else:  # p0_bar sweep
-            cfg = replace(cfg, sigma0_sq=analysis.snr_to_sigma0_sq(spec.snr_db_grid[0]))
-            attack = AttackScenario(mode=attack.mode, p0_bar=value)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        return [
+            _run_point(spec, sweep_index, kind, value, pool, workers)
+            for sweep_index, (kind, value) in enumerate(spec.sweep())
+        ]
 
-        try:
-            alloc = solve(PowerAllocationProblem(cfg))
-        except InfeasibleConfigError:
-            rows.append(
-                ResultRow(
-                    sweep_value=value,
-                    scheme=spec.scheme,
-                    attack_mode=attack.mode,
-                    p1=None,
-                    sigma_a_sq=None,
-                    p0=None,
-                    nmse_lr_emp=None,
-                    nmse_lr_cf=None,
-                    nmse_ur_emp=None,
-                    nmse_ur_cf=None,
-                    trials=0,
-                    seed=spec.master_seed,
-                )
-            )
-            continue
 
-        base_id = sweep_index * (2**32)
-        lr_vals = [0.0] * spec.trials
-        ur_vals = [0.0] * spec.trials
-        if workers <= 1:
-            for i in range(spec.trials):
-                stream = RngStream(spec.master_seed, base_id + i)
-                lr_vals[i], ur_vals[i] = run_trial(cfg, alloc, spec.scheme, attack, stream)
-        else:
-            chunk = max(1, math.ceil(spec.trials / (workers * 4)))
-            jobs = [
-                (cfg, alloc, spec.scheme, attack, spec.master_seed, base_id,
-                 list(range(start, min(start + chunk, spec.trials))))
-                for start in range(0, spec.trials, chunk)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_trial_chunk, jobs):
-                    for i, lr, ur in part:
-                        lr_vals[i], ur_vals[i] = lr, ur
-
-        lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
-        rows.append(
-            ResultRow(
-                sweep_value=value,
-                scheme=spec.scheme,
-                attack_mode=attack.mode,
-                p1=alloc.p1,
-                sigma_a_sq=alloc.sigma_a_sq,
-                p0=alloc.p0,
-                nmse_lr_emp=math.fsum(lr_vals) / spec.trials,
-                nmse_lr_cf=lr_cf,
-                nmse_ur_emp=math.fsum(ur_vals) / spec.trials,
-                nmse_ur_cf=ur_cf,
-                trials=spec.trials,
-                seed=spec.master_seed,
-            )
+def _run_point(
+    spec: ExperimentSpec,
+    sweep_index: int,
+    kind: str,
+    value: float,
+    pool: ProcessPoolExecutor | None,
+    workers: int,
+) -> ResultRow:
+    cfg = replace(spec.cfg, gamma=spec.gamma)
+    attack = spec.attack
+    if kind == "snr_db":
+        cfg = replace(cfg, sigma0_sq=analysis.snr_to_sigma0_sq(value))
+    elif kind == "t1":
+        cfg = replace(
+            cfg,
+            t1=int(value),
+            sigma0_sq=analysis.snr_to_sigma0_sq(spec.snr_db_grid[0]),
         )
-    return rows
+    else:  # p0_bar sweep
+        cfg = replace(cfg, sigma0_sq=analysis.snr_to_sigma0_sq(spec.snr_db_grid[0]))
+        attack = AttackScenario(mode=attack.mode, p0_bar=value)
+
+    try:
+        alloc = solve(PowerAllocationProblem(cfg))
+    except InfeasibleConfigError:
+        return ResultRow(
+            sweep_value=value,
+            scheme=spec.scheme,
+            attack_mode=attack.mode,
+            p1=None,
+            sigma_a_sq=None,
+            p0=None,
+            nmse_lr_emp=None,
+            nmse_lr_cf=None,
+            nmse_ur_emp=None,
+            nmse_ur_cf=None,
+            trials=0,
+            seed=spec.master_seed,
+        )
+
+    base_id = sweep_index * (2**32)
+    lr_vals = [0.0] * spec.trials
+    ur_vals = [0.0] * spec.trials
+    if pool is None:
+        for i in range(spec.trials):
+            stream = RngStream(spec.master_seed, base_id + i)
+            lr_vals[i], ur_vals[i] = run_trial(cfg, alloc, spec.scheme, attack, stream)
+    else:
+        chunk = max(1, math.ceil(spec.trials / (workers * 4)))
+        jobs = [
+            (cfg, alloc, spec.scheme, attack, spec.master_seed, base_id,
+             list(range(start, min(start + chunk, spec.trials))))
+            for start in range(0, spec.trials, chunk)
+        ]
+        for part in pool.map(_trial_chunk, jobs):
+            for i, lr, ur in part:
+                lr_vals[i], ur_vals[i] = lr, ur
+
+    lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
+    return ResultRow(
+        sweep_value=value,
+        scheme=spec.scheme,
+        attack_mode=attack.mode,
+        p1=alloc.p1,
+        sigma_a_sq=alloc.sigma_a_sq,
+        p0=alloc.p0,
+        nmse_lr_emp=math.fsum(lr_vals) / spec.trials,
+        nmse_lr_cf=lr_cf,
+        nmse_ur_emp=math.fsum(ur_vals) / spec.trials,
+        nmse_ur_cf=ur_cf,
+        trials=spec.trials,
+        seed=spec.master_seed,
+    )
 
 
 CSV_HEADER = "sweep,scheme,attack,p1,sigma_a_sq,p0,nmse_lr_emp,nmse_lr_cf,nmse_ur_emp,nmse_ur_cf,trials,seed"

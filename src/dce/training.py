@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
-from .errors import DimensionError, InfeasibleConfigError
-from .linalg import complex_gaussian, left_null_basis, orthonormal_rows
+from .errors import DimensionError, InfeasibleConfigError, NumericalError
+from .linalg import complex_gaussian, orthonormal_rows
 
 __all__ = [
     "ReverseSignal",
@@ -93,15 +93,18 @@ def build_an_basis(uplink_estimate: np.ndarray) -> np.ndarray:
     N^T @ uplink_estimate = 0.  The orthogonality is bilinear, not
     Hermitian: the downlink product H @ N = (N^T H^T)^T then vanishes for
     an exact estimate, which is what makes the jamming invisible at the
-    legitimate receiver.  Construction: conjugate the Hermitian left-null
-    basis of the estimate.
+    legitimate receiver.  Construction: the last n_t - n_l columns of the
+    complete QR factor Q of the estimate span its Hermitian orthogonal
+    complement; conjugating them turns that into the bilinear one.
     """
     est = np.asarray(uplink_estimate, dtype=complex)
     n_t, n_l = est.shape
     if n_t <= n_l:
         raise DimensionError(f"no null space: estimate is {n_t}x{n_l}")
-    n0 = left_null_basis(est, rank=n_l)
-    return n0.conj()
+    if not np.all(np.isfinite(est)):
+        raise NumericalError(f"uplink estimate of shape {est.shape} contains non-finite entries")
+    q, _ = np.linalg.qr(est, mode="complete")
+    return q[:, n_l:].conj()
 
 
 def build_forward_signal(

@@ -224,7 +224,7 @@ def test_criterion_7_attack_robustness():
 
 
 def test_criterion_8_structural_invariants(tmp_path):
-    rng = RngStream(80).generator()
+    rng = RngStream(80).substream()
     checks = {}
     # unitarity and bilinear null-space orthogonality on noisy trials
     from dce import blind_whitening_tx, complex_gaussian, wr_estimate_lr, wr_estimate_ur

@@ -10,7 +10,6 @@ from dce import (
     nmse_lr_closed,
     nmse_ur_closed,
     snr_to_sigma0_sq,
-    summarize,
 )
 from dce.errors import DimensionError
 
@@ -129,20 +128,3 @@ def test_closed_forms_depend_on_energy_products():
 def test_snr_to_sigma0_sq(snr_db, expected):
     assert snr_to_sigma0_sq(snr_db) == pytest.approx(expected, rel=1e-12)
 
-
-def test_summarize():
-    s = summarize([1.0, 2.0, 3.0], closed_form=2.0)
-    assert s.empirical_mean == pytest.approx(2.0)
-    assert s.trials == 3
-    assert s.relative_gap == pytest.approx(0.0)
-    assert summarize([1.0]).relative_gap is None
-
-
-def test_summarize_order_invariant():
-    rng = np.random.default_rng(1)
-    vals = list(rng.uniform(0, 1, size=5000))
-    a = summarize(vals).empirical_mean
-    b = summarize(list(reversed(vals))).empirical_mean
-    rng.shuffle(vals)
-    c = summarize(vals).empirical_mean
-    assert a == b == c

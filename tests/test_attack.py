@@ -6,6 +6,7 @@ import pytest
 from dce import (
     AttackScenario,
     PowerAllocation,
+    PowerAllocationProblem,
     RngStream,
     SystemConfig,
     build_attack_signal,
@@ -15,6 +16,7 @@ from dce import (
     run_trial,
     sample_channels,
     snr_to_sigma0_sq,
+    solve,
 )
 from dce.errors import DimensionError
 
@@ -29,21 +31,24 @@ def test_scenario_validation():
 
 
 def test_contaminate_none_is_identity():
-    ch = sample_channels(CFG, RngStream(0).generator())
+    ch = sample_channels(CFG, RngStream(0).substream())
     rs = build_reverse_signal(CFG, 1.0, mode="fixed")
     x0 = ch.h.T @ rs.s0
-    out = contaminate_reverse(x0, ch.g, AttackScenario(), CFG, RngStream(1).generator())
+    out = contaminate_reverse(x0, ch.g, AttackScenario(), CFG, RngStream(1).substream())
     assert out is x0
+    # a silent attacker sends nothing and adds no noise of its own
+    silent = contaminate_reverse(x0, ch.g, AttackScenario("guess", 0.0), CFG, RngStream(1).substream())
+    assert silent is x0
 
 
 def test_contaminate_known_pilot_steers_towards_sum_channel():
     # noise-free: replayed pilots make the correlation see H^T + G^T
     cfg = dataclasses.replace(CFG, sigma0_sq=0.0)
-    ch = sample_channels(cfg, RngStream(2).generator())
+    ch = sample_channels(cfg, RngStream(2).substream())
     rs = build_reverse_signal(cfg, 1.0, mode="fixed")
     x0 = ch.h.T @ rs.s0
     out = contaminate_reverse(
-        x0, ch.g, AttackScenario("known_pilot", 1.0), cfg, RngStream(3).generator(), legit_c0=rs.c0
+        x0, ch.g, AttackScenario("known_pilot", 1.0), cfg, RngStream(3).substream(), legit_c0=rs.c0
     )
     est = lmmse_uplink(out, rs, cfg.sigma_h_sq, cfg.sigma0_sq)
     assert np.linalg.norm(est.matrix - (ch.h.T + ch.g.T)) <= 1e-9
@@ -51,11 +56,11 @@ def test_contaminate_known_pilot_steers_towards_sum_channel():
 
 def test_contaminate_needs_matching_antennas():
     cfg = dataclasses.replace(CFG, n_u=3)
-    ch = sample_channels(cfg, RngStream(4).generator())
+    ch = sample_channels(cfg, RngStream(4).substream())
     rs = build_reverse_signal(cfg, 1.0, mode="fixed")
     x0 = ch.h.T @ rs.s0
     with pytest.raises(DimensionError):
-        contaminate_reverse(x0, ch.g, AttackScenario("guess", 1.0), cfg, RngStream(5).generator())
+        contaminate_reverse(x0, ch.g, AttackScenario("guess", 1.0), cfg, RngStream(5).substream())
 
 
 def test_guess_cross_correlation_decays_with_t0():
@@ -63,7 +68,7 @@ def test_guess_cross_correlation_decays_with_t0():
     means = []
     for t0 in (35, 70, 140):
         cfg = dataclasses.replace(CFG, t0=t0)
-        rng = RngStream(6, t0).generator()
+        rng = RngStream(6, t0).substream()
         acc = 0.0
         trials = 200
         for _ in range(trials):
@@ -98,3 +103,12 @@ def test_known_pilot_attack_rejected_for_random_pilot_scheme():
     )
     with pytest.raises(ValueError, match="known_pilot"):
         run_trial(cfg, alloc, "wr", AttackScenario("known_pilot", 1.0), RngStream(8, 0))
+
+
+def test_silent_attacker_trial_equals_clean_trial():
+    cfg = dataclasses.replace(CFG, sigma0_sq=snr_to_sigma0_sq(5.0))
+    alloc = solve(PowerAllocationProblem(cfg))
+    for i in range(5):
+        clean = run_trial(cfg, alloc, "wr", AttackScenario(), RngStream(9, i))
+        silent = run_trial(cfg, alloc, "wr", AttackScenario("guess", 0.0), RngStream(9, i))
+        assert silent == clean

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dce import RngStream, SystemConfig, add_awgn, sample_channels, svd, wr_decompose
+from dce import RngStream, SystemConfig, sample_channels, svd, wr_decompose
 from dce.errors import DimensionError
 
 from conftest import make_cfg
@@ -30,17 +30,16 @@ def test_config_rejects_invalid(kw):
 
 
 def test_sample_channels_shapes_and_zero_variance():
-    cfg = make_cfg(sigma_b_sq=0.0)
-    ch = sample_channels(cfg, RngStream(0).generator())
+    cfg = make_cfg(sigma_g_sq=0.0)
+    ch = sample_channels(cfg, RngStream(0).substream())
     assert ch.h.shape == (2, 4)
     assert ch.g.shape == (2, 4)
-    assert ch.b.shape == (2, 2)
-    assert np.all(ch.b == 0)
+    assert np.all(ch.g == 0)
 
 
 def test_sample_channels_statistics():
     cfg = SystemConfig()
-    rng = RngStream(1).generator()
+    rng = RngStream(1).substream()
     acc = 0.0
     trials = 100_000
     for _ in range(trials):
@@ -81,14 +80,3 @@ def test_wr_decompose_rejects_wide():
     with pytest.raises(DimensionError):
         wr_decompose(np.ones((2, 4), dtype=complex))
 
-
-def test_add_awgn_zero_noise():
-    sig = np.ones((3, 5), dtype=complex)
-    out = add_awgn(sig, 0.0, RngStream(4).generator())
-    assert np.array_equal(out, sig)
-
-
-def test_add_awgn_power():
-    sig = np.zeros((100, 1000), dtype=complex)
-    out = add_awgn(sig, 0.01, RngStream(5).generator())
-    assert abs(np.mean(np.abs(out) ** 2) / 0.01 - 1.0) < 0.01

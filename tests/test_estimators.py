@@ -34,18 +34,17 @@ def manual_alloc(p1, sigma_a_sq, p0=1.0):
 
 
 def test_lmmse_uplink_noise_free():
-    ch = sample_channels(CFG, RngStream(0).generator())
+    ch = sample_channels(CFG, RngStream(0).substream())
     rs = build_reverse_signal(CFG, p0=1.0, mode="fixed")
     x0 = ch.h.T @ rs.s0
     est = lmmse_uplink(x0, rs, CFG.sigma_h_sq, 0.0)
-    assert est.kind == "lmmse_channel"
     assert np.linalg.norm(est.matrix - ch.h.T) <= 1e-9
 
 
 def test_lmmse_uplink_shrinkage_identity():
     # orthogonal pilots, zero noise realization, sigma0 > 0: the estimator
     # is an exact scalar shrinkage of the true uplink channel
-    ch = sample_channels(CFG, RngStream(1).generator())
+    ch = sample_channels(CFG, RngStream(1).substream())
     rs = build_reverse_signal(CFG, p0=1.0, mode="fixed")
     x0 = ch.h.T @ rs.s0
     sigma0_sq = 0.01
@@ -55,18 +54,64 @@ def test_lmmse_uplink_shrinkage_identity():
     assert np.linalg.norm(est.matrix - shrink * ch.h.T) <= 1e-12
 
 
+def test_lmmse_matches_textbook_formula():
+    # with orthonormal-row pilots the full matrix LMMSE formula
+    # [sigma^2 (sigma^2 S S^H + sigma0^2 I)^-1 S obs^H]^H is a scalar shrinkage
+    def textbook(obs, s, sigma_sq, sigma0_sq):
+        gram = sigma_sq * (s @ s.conj().T) + sigma0_sq * np.eye(s.shape[0])
+        return (sigma_sq * np.linalg.solve(gram, s @ obs.conj().T)).conj().T
+
+    rng = RngStream(16).substream()
+    for sigma0_sq in (0.0, 0.01, 0.5):
+        ch = sample_channels(CFG, rng)
+        rs = build_reverse_signal(CFG, p0=0.8, mode="fixed")
+        x0 = ch.h.T @ rs.s0 + complex_gaussian(rng, CFG.n_t, CFG.t0, sigma0_sq)
+        up = lmmse_uplink(x0, rs, 1.3, sigma0_sq).matrix
+        want = textbook(x0, rs.s0, 1.3, sigma0_sq)
+        assert np.linalg.norm(up - want) <= 1e-12 * np.linalg.norm(want)
+        fs = build_forward_signal(CFG, build_an_basis(up), p1=0.5, sigma_a_sq=0.25, rng=rng)
+        x1 = ch.h @ fs.s1 + complex_gaussian(rng, CFG.n_l, CFG.t1, sigma0_sq)
+        down = lmmse_downlink(x1, fs, 0.7, sigma0_sq).matrix
+        want = textbook(x1, fs.s1_pilot, 0.7, sigma0_sq)
+        assert np.linalg.norm(down - want) <= 1e-12 * np.linalg.norm(want)
+    # no channel variance and no noise: nothing to estimate, the estimate is 0
+    assert np.all(lmmse_uplink(x0, rs, 0.0, 0.0).matrix == 0)
+
+
+def test_wr_estimates_equal_pilot_correlation():
+    # the whitening-rotation factorisation reduces to the least-squares
+    # correlation obs S1p^H / x that the Monte Carlo trial computes
+    rng = RngStream(17).substream()
+    p1, sigma_a_sq = 0.49268, 0.25366
+    x = p1 * CFG.t1 / CFG.n_t
+    worst = 0.0
+    for k in range(200):
+        sigma0_sq = (10 ** -0.5, 1e-2, 1e-3)[k % 3]
+        ch = sample_channels(CFG, rng)
+        rs = build_reverse_signal(CFG, p0=1.0, mode="random", rng=rng)
+        x0 = ch.h.T @ rs.s0 + complex_gaussian(rng, CFG.n_t, CFG.t0, sigma0_sq)
+        n = build_an_basis(blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l).matrix)
+        fs = build_forward_signal(CFG, n, p1, sigma_a_sq, rng)
+        for chan, estimate in ((ch.h, wr_estimate_lr), (ch.g, wr_estimate_ur)):
+            obs = chan @ fs.s1 + complex_gaussian(rng, chan.shape[0], CFG.t1, sigma0_sq)
+            ls = obs @ fs.s1_pilot.conj().T / x
+            wr = estimate(obs, fs.s1_pilot, p1, CFG.t1, CFG.n_t).matrix
+            worst = max(worst, np.linalg.norm(wr - ls) / np.linalg.norm(ls))
+    assert worst <= 1e-12
+
+
 def test_lmmse_downlink_noise_free_recovery():
-    ch = sample_channels(CFG, RngStream(2).generator())
+    ch = sample_channels(CFG, RngStream(2).substream())
     n = build_an_basis(wr_decompose(ch.h.T).w)
-    fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=RngStream(3).generator())
+    fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=RngStream(3).substream())
     x1 = ch.h @ fs.s1  # exact basis: jamming invisible, no noise
     est = lmmse_downlink(x1, fs, CFG.sigma_h_sq, 0.0)
     assert np.linalg.norm(est.matrix - ch.h) <= 1e-9
 
 
 def test_blind_whitening_noiseless_autocorrelation():
-    ch = sample_channels(CFG, RngStream(4).generator())
-    rs = build_reverse_signal(CFG, p0=1.0, mode="random", rng=RngStream(5).generator())
+    ch = sample_channels(CFG, RngStream(4).substream())
+    rs = build_reverse_signal(CFG, p0=1.0, mode="random", rng=RngStream(5).substream())
     x0 = ch.h.T @ rs.s0
     w0 = blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l).matrix
     target = ch.h.T @ ch.h.conj()
@@ -84,7 +129,7 @@ def test_blind_whitening_subspace_improves_with_t0():
     errs = []
     for t0 in (35, 140):
         cfg = dataclasses.replace(CFG, t0=t0, sigma0_sq=sigma0_sq)
-        rng = RngStream(6, t0).generator()
+        rng = RngStream(6, t0).substream()
         acc = 0.0
         for _ in range(300):
             ch = sample_channels(cfg, rng)
@@ -121,9 +166,9 @@ def test_procrustes_output_unitary():
 
 
 def test_wr_lr_noise_free_exact():
-    ch = sample_channels(CFG, RngStream(9).generator())
+    ch = sample_channels(CFG, RngStream(9).substream())
     n = build_an_basis(wr_decompose(ch.h.T).w)
-    fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=RngStream(10).generator())
+    fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=RngStream(10).substream())
     x1 = ch.h @ fs.s1
     est = wr_estimate_lr(x1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
     assert np.linalg.norm(est.matrix - ch.h) <= 1e-8
@@ -132,7 +177,7 @@ def test_wr_lr_noise_free_exact():
 
 
 def test_wr_lr_rotation_always_unitary():
-    rng = RngStream(11).generator()
+    rng = RngStream(11).substream()
     for _ in range(20):
         ch = sample_channels(CFG, rng)
         n = build_an_basis(wr_decompose(ch.h.T).w)
@@ -144,9 +189,9 @@ def test_wr_lr_rotation_always_unitary():
 
 
 def test_wr_ur_noise_free_exact_without_an():
-    ch = sample_channels(CFG, RngStream(12).generator())
+    ch = sample_channels(CFG, RngStream(12).substream())
     n = build_an_basis(wr_decompose(ch.h.T).w)
-    fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.0, rng=RngStream(13).generator())
+    fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.0, rng=RngStream(13).substream())
     y1 = ch.g @ fs.s1
     est = wr_estimate_ur(y1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
     assert np.linalg.norm(est.matrix - ch.g) <= 1e-8
@@ -154,7 +199,7 @@ def test_wr_ur_noise_free_exact_without_an():
 
 
 def test_wr_ur_rotation_always_unitary():
-    rng = RngStream(14).generator()
+    rng = RngStream(14).substream()
     for _ in range(20):
         ch = sample_channels(CFG, rng)
         n = build_an_basis(wr_decompose(ch.h.T).w)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dce import RngStream, complex_gaussian, left_null_basis, orthonormal_rows, svd
+from dce import RngStream, complex_gaussian, orthonormal_rows, svd
 from dce.errors import DimensionError
 
 
@@ -67,37 +67,6 @@ def test_svd_rejects_bad_input():
         svd(np.array([[np.nan + 0j, 1.0]]))
 
 
-def test_left_null_basis_axis_aligned():
-    a = np.array([[1.0], [0.0], [0.0], [0.0]], dtype=complex)
-    n = left_null_basis(a, rank=1)
-    assert n.shape == (4, 3)
-    assert np.linalg.norm(n.conj().T @ a) <= 1e-12
-    assert np.linalg.norm(n.conj().T @ n - np.eye(3)) <= 1e-10
-
-
-def test_left_null_basis_orthogonal_to_dominant_subspace():
-    rng = np.random.default_rng(4)
-    a = random_complex(rng, 6, 2)
-    n = left_null_basis(a, rank=2)
-    u_r = svd(a).u[:, :2]
-    assert np.linalg.norm(n.conj().T @ u_r) <= 1e-10
-
-
-def test_left_null_basis_scale_invariant():
-    rng = np.random.default_rng(5)
-    a = random_complex(rng, 5, 2)
-    n1 = left_null_basis(a, rank=2)
-    n2 = left_null_basis(3.7 * a, rank=2)
-    p1 = n1 @ n1.conj().T
-    p2 = n2 @ n2.conj().T
-    assert np.linalg.norm(p1 - p2) <= 1e-10
-
-
-def test_left_null_basis_rank_too_large():
-    with pytest.raises(DimensionError):
-        left_null_basis(np.eye(3), rank=3)
-
-
 def test_complex_gaussian_zero_variance():
     rng = np.random.default_rng(6)
     z = complex_gaussian(rng, 4, 5, 0.0)
@@ -134,8 +103,8 @@ def test_orthonormal_rows_square_fixed_is_unitary_dft():
 
 
 def test_orthonormal_rows_random_distinct_seeds():
-    c1 = orthonormal_rows(2, 140, mode="random", rng=RngStream(1, 0).generator())
-    c2 = orthonormal_rows(2, 140, mode="random", rng=RngStream(2, 0).generator())
+    c1 = orthonormal_rows(2, 140, mode="random", rng=RngStream(1, 0).substream())
+    c2 = orthonormal_rows(2, 140, mode="random", rng=RngStream(2, 0).substream())
     assert np.linalg.norm(c1 @ c1.conj().T - np.eye(2)) <= 1e-12
     p1 = c1.conj().T @ c1
     p2 = c2.conj().T @ c2
@@ -148,9 +117,9 @@ def test_orthonormal_rows_too_many_rows():
 
 
 def test_rng_stream_reproducible():
-    a = RngStream(123, 7).generator().standard_normal(16)
-    b = RngStream(123, 7).generator().standard_normal(16)
-    c = RngStream(123, 8).generator().standard_normal(16)
+    a = RngStream(123, 7).substream().standard_normal(16)
+    b = RngStream(123, 7).substream().standard_normal(16)
+    c = RngStream(123, 8).substream().standard_normal(16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -96,6 +96,14 @@ def test_solve_handles_increasing_objective():
     assert alloc.objective <= oracle.objective * 1.005
 
 
+def test_solve_noise_free_takes_x_max_at_zero_objective():
+    # sigma0 = 0: the objective is 0 on the whole interval, whose lower end is 0
+    cfg = make_cfg(sigma0_sq=0.0)
+    alloc = solve(PowerAllocationProblem(cfg))
+    assert alloc.x == feasible_x_interval(cfg)[1]
+    assert alloc.objective == 0.0
+
+
 def test_solve_large_wiretap_gain_shrinks_jamming():
     cfg = make_cfg(sigma_g_sq=100.0)
     alloc = solve(PowerAllocationProblem(cfg))

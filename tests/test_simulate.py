@@ -14,6 +14,7 @@ from dce import (
     run_experiment,
     run_trial,
 )
+from dce import simulate
 from dce.simulate import CSV_HEADER, ResultRow
 
 from conftest import make_cfg
@@ -72,11 +73,20 @@ def test_spec_validation():
         ExperimentSpec(cfg=CFG, snr_db_grid=(10.0, 20.0), t1_grid=(20, 40))
 
 
-def test_experiment_reproducible_and_worker_invariant(tmp_path):
-    spec = ExperimentSpec(cfg=CFG, scheme="wr", snr_db_grid=(20.0,), trials=300, master_seed=9)
+def test_experiment_reproducible_and_worker_invariant(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+    spec = ExperimentSpec(cfg=CFG, scheme="wr", snr_db_grid=(15.0, 20.0), trials=300, master_seed=9)
     rows1 = run_experiment(spec, workers=1)
     rows2 = run_experiment(spec, workers=2)
     assert rows1 == rows2
+    assert len(pools) == 1  # one pool serves every sweep point
     p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     emit_csv(rows1, p1)
     emit_csv(rows2, p2)
