@@ -17,17 +17,9 @@ from .analysis import (
     snr_to_sigma0_sq,
 )
 from .attack import AttackScenario, contaminate_reverse
-from .channel import (
-    ChannelRealization,
-    SystemConfig,
-    WRDecomposition,
-    sample_channels,
-    wr_decompose,
-)
+from .channel import ChannelRealization, SystemConfig, sample_channels
 from .errors import DceError, DimensionError, InfeasibleConfigError, NumericalError
 from .estimators import (
-    ChannelEstimate,
-    UplinkEstimate,
     blind_whitening_tx,
     lmmse_downlink,
     lmmse_uplink,
@@ -35,7 +27,7 @@ from .estimators import (
     wr_estimate_lr,
     wr_estimate_ur,
 )
-from .linalg import RngStream, SvdResult, complex_gaussian, orthonormal_rows, svd
+from .linalg import RngStream, complex_gaussian, orthonormal_rows
 from .power_allocation import (
     PowerAllocation,
     PowerAllocationProblem,
@@ -46,7 +38,6 @@ from .power_allocation import (
 )
 from .simulate import ExperimentSpec, ResultRow, emit_csv, read_csv, run_experiment, run_trial
 from .training import (
-    AttackSignal,
     ForwardSignal,
     ReverseSignal,
     build_an_basis,

@@ -67,7 +67,7 @@ def contaminate_reverse(
         )
     if scenario.p0_bar == 0:
         return x0_clean
-    attack = build_attack_signal(
+    s0_bar = build_attack_signal(
         cfg,
         scenario.p0_bar,
         strategy=scenario.mode,
@@ -75,4 +75,4 @@ def contaminate_reverse(
         legit_c0=legit_c0,
     )
     f0 = complex_gaussian(rng, cfg.n_t, cfg.t0, cfg.sigma0_sq)
-    return x0_clean + g.T @ attack.s0_bar + f0
+    return x0_clean + g.T @ s0_bar + f0

@@ -1,8 +1,10 @@
-"""System configuration, channel sampling, and whitening-rotation factoring.
+"""System configuration and channel sampling.
 
 Conventions: the downlink legitimate channel has shape (n_l, n_t) and the
 downlink wiretap channel (n_u, n_t).  Uplink channels are the plain
-transposes (TDD reciprocity), never an independent draw.
+transposes (TDD reciprocity), never an independent draw.  The exact
+uplink channel H^T is what the perfect-CSI transmitter builds its
+jamming basis from; the whitening-rotation split lives in estimators.
 """
 
 from __future__ import annotations
@@ -12,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import complex_gaussian, svd
+from .linalg import complex_gaussian
 
 __all__ = [
     "SystemConfig",
     "ChannelRealization",
-    "WRDecomposition",
     "sample_channels",
-    "wr_decompose",
 ]
 
 
@@ -71,34 +71,8 @@ class ChannelRealization:
     g: np.ndarray
 
 
-@dataclass(frozen=True)
-class WRDecomposition:
-    """Factoring a = w @ q^H with w = U Sigma (tall) and q unitary."""
-
-    w: np.ndarray
-    q: np.ndarray
-
-
 def sample_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one independent Rayleigh flat-fading realization of both channels."""
     h = complex_gaussian(rng, cfg.n_l, cfg.n_t, cfg.sigma_h_sq)
     g = complex_gaussian(rng, cfg.n_u, cfg.n_t, cfg.sigma_g_sq)
     return ChannelRealization(h=h, g=g)
-
-
-def wr_decompose(a: np.ndarray) -> WRDecomposition:
-    """Whitening-rotation factors of a tall matrix: a = w @ q^H.
-
-    Uses the top-k singular triplets, w = U[:, :k] * sigma and q = V,
-    under the deterministic SVD convention.  Wide inputs are rejected;
-    decompose the transpose instead.
-    """
-    a = np.asarray(a, dtype=complex)
-    m, k = a.shape
-    if m < k:
-        raise DimensionError(f"wr_decompose needs rows >= cols, got {m}x{k}; pass the transpose")
-    res = svd(a)
-    w = res.u[:, :k] * res.sigma
-    q = res.v
-    return WRDecomposition(w=w, q=q)
-

@@ -88,7 +88,7 @@ def _cmd_simulate(args) -> int:
         print(f"wrote {len(rows)} rows to {args.out}")
     for r in rows:
         if r.trials == 0:
-            print(f"sweep={r.sweep_value:g}: infeasible gamma, skipped")
+            print(f"sweep={r.sweep_value:g}: infeasible configuration, skipped")
             continue
         cf = f" cf={r.nmse_lr_cf:.4e}" if r.nmse_lr_cf is not None else ""
         print(

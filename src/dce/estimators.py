@@ -13,30 +13,30 @@ Both schemes rest on one identity.  build_reverse_signal and
 build_forward_signal send orthonormal-row pilots scaled by sqrt(energy),
 so S S^H = energy I.  Then the whitening-rotation estimate reduces
 exactly to the least-squares pilot correlation obs S^H / energy, and the
-LMMSE estimate is that correlation times a scalar shrinkage.  The Monte Carlo trial computes the correlation
-directly; wr_estimate_lr / wr_estimate_ur keep the factorisation as the
-readable reference the tests compare it against.
+LMMSE estimate is that correlation times a scalar shrinkage.  The Monte
+Carlo trial computes the correlation directly; wr_estimate_lr /
+wr_estimate_ur keep the factorisation as the readable reference the
+tests compare it against.  They call np.linalg.svd as it comes: a phase
+on a singular pair cancels in U V^H and in the whitening-rotation
+product, so no phase convention is needed.
 
+Every estimator returns the estimate as a plain array; the
+whitening-rotation reference returns (estimate, whitening, rotation).
 Orientation conventions: x0 is the (n_t, t0) reverse-phase observation,
 x1 / y1 are (rx, t1) forward-phase observations.  Uplink estimates are
-returned as (n_t, n_l) matrices approximating H^T so the null-space
-construction in the training module applies directly; downlink estimates
-match the (rx, n_t) downlink channel itself.
+(n_t, n_l) matrices approximating H^T so the null-space construction in
+the training module applies directly; downlink estimates match the
+(rx, n_t) downlink channel itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .linalg import svd
 from .training import ForwardSignal, ReverseSignal
 
 __all__ = [
-    "UplinkEstimate",
-    "ChannelEstimate",
     "lmmse_uplink",
     "lmmse_downlink",
     "blind_whitening_tx",
@@ -44,22 +44,6 @@ __all__ = [
     "wr_estimate_lr",
     "wr_estimate_ur",
 ]
-
-
-@dataclass(frozen=True)
-class UplinkEstimate:
-    """(n_t, n_l) estimate of the uplink channel H^T or of its whitening factor."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Downlink estimate, optionally with its whitening/rotation factors."""
-
-    matrix: np.ndarray
-    whitening: np.ndarray | None = None
-    rotation: np.ndarray | None = None
 
 
 def pilot_correlation(obs: np.ndarray, pilots: np.ndarray, energy: float) -> np.ndarray:
@@ -90,7 +74,7 @@ def lmmse_uplink(
     reverse: ReverseSignal,
     sigma_h_sq: float,
     sigma0_sq: float,
-) -> UplinkEstimate:
+) -> np.ndarray:
     """LMMSE estimate of the uplink channel from known reverse pilots.
 
     The reverse pilots have orthonormal rows scaled to energy
@@ -100,7 +84,7 @@ def lmmse_uplink(
     """
     n_l, t0 = reverse.s0.shape
     energy = reverse.p0 * t0 / n_l
-    return UplinkEstimate(matrix=_lmmse(x0, reverse.s0, energy, sigma_h_sq, sigma0_sq))
+    return _lmmse(x0, reverse.s0, energy, sigma_h_sq, sigma0_sq)
 
 
 def lmmse_downlink(
@@ -108,7 +92,7 @@ def lmmse_downlink(
     forward: ForwardSignal,
     sigma_ch_sq: float,
     sigma0_sq: float,
-) -> ChannelEstimate:
+) -> np.ndarray:
     """LMMSE estimate of a downlink channel from the known forward pilots.
 
     Only the pilot part of the forward signal is known to a receiver, so
@@ -121,10 +105,10 @@ def lmmse_downlink(
     """
     n_t, t1 = forward.s1_pilot.shape
     energy = forward.p1 * t1 / n_t
-    return ChannelEstimate(matrix=_lmmse(x1, forward.s1_pilot, energy, sigma_ch_sq, sigma0_sq))
+    return _lmmse(x1, forward.s1_pilot, energy, sigma_ch_sq, sigma0_sq)
 
 
-def blind_whitening_tx(x0: np.ndarray, p0: float, t0: int, n_l: int) -> UplinkEstimate:
+def blind_whitening_tx(x0: np.ndarray, p0: float, t0: int, n_l: int) -> np.ndarray:
     """Blind whitening-factor estimate from the reverse-phase autocorrelation.
 
     Forms the Hermitian R = X0 X0^H / ((p0 / n_l) t0), whose expectation
@@ -139,7 +123,7 @@ def blind_whitening_tx(x0: np.ndarray, p0: float, t0: int, n_l: int) -> UplinkEs
     r = x0 @ x0.conj().T / ((p0 / n_l) * t0)
     vals, vecs = np.linalg.eigh(r)  # ascending order
     vals, vecs = vals[::-1][:n_l], vecs[:, ::-1][:, :n_l]
-    return UplinkEstimate(matrix=vecs * np.sqrt(np.maximum(vals, 0.0)))
+    return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 def procrustes_rotation(cross: np.ndarray, order: str = "uv") -> np.ndarray:
@@ -148,11 +132,11 @@ def procrustes_rotation(cross: np.ndarray, order: str = "uv") -> np.ndarray:
     Returns U V^H (order="uv") or V U^H (order="vu") from the SVD of the
     cross-correlation matrix: the unitary factor closest in Frobenius norm
     to the alignment the cross-correlation encodes.  Zero singular
-    directions contribute an arbitrary but deterministic block, which
-    downstream products multiply by vanishing singular values.
+    directions contribute an arbitrary block, which downstream products
+    multiply by vanishing singular values.
     """
-    res = svd(cross)
-    uvh = res.u @ res.vh
+    u, _, vh = np.linalg.svd(cross)
+    uvh = u @ vh
     if order == "uv":
         return uvh
     if order == "vu":
@@ -166,7 +150,7 @@ def wr_estimate_lr(
     p1: float,
     t1: int,
     n_t: int,
-) -> ChannelEstimate:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semiblind whitening-rotation estimate at the legitimate receiver.
 
     Steps: (i) pilot correlation X_W = X1 S1p^H / ((p1/n_t) t1);
@@ -175,17 +159,21 @@ def wr_estimate_lr(
     rotation Q1 as the Procrustes factor of X_Q; (v) channel estimate
     Q1^* W1^T.  Under orthonormal forward pilots the result equals X_W
     itself, which is what the Monte Carlo trial computes.
+
+    Returns (estimate, whitening, rotation): the (n_l, n_t) estimate
+    Q1^* W1^T, the (n_t, n_l) whitening factor W1 and the (n_l, n_l)
+    unitary rotation Q1.
     """
     scale = (p1 / n_t) * t1
     xw = pilot_correlation(x1, s1_pilot, scale)
     if not np.any(np.abs(xw) > 0):
         raise NumericalError("degenerate pilot correlation: received signal uncorrelated with pilots")
-    res = svd(xw)
-    w1 = res.vh.T[:, : res.sigma.size] * res.sigma
+    _, sigma, vh = np.linalg.svd(xw, full_matrices=False)
+    w1 = vh.T * sigma
     xq = x1.conj() @ s1_pilot.T @ w1 / scale
     q1 = procrustes_rotation(xq, order="uv")
     h1 = q1.conj() @ w1.T
-    return ChannelEstimate(matrix=h1, whitening=w1, rotation=q1)
+    return h1, w1, q1
 
 
 def wr_estimate_ur(
@@ -194,7 +182,7 @@ def wr_estimate_ur(
     p1: float,
     t1: int,
     n_t: int,
-) -> ChannelEstimate:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Semiblind whitening-rotation estimate at the unauthorized receiver.
 
     Steps: (i) pilot correlation Y_M; (ii) whitening factor M = U Sigma
@@ -202,16 +190,19 @@ def wr_estimate_ur(
     ((p1/n_t) t1); (iv) rotation R as the reversed Procrustes factor;
     (v) channel estimate M R^H.  Under orthonormal forward pilots the
     result equals Y_M itself, which is what the Monte Carlo trial computes.
+
+    Returns (estimate, whitening, rotation): the (n_u, n_t) estimate
+    M R^H, the (n_u, n_t) whitening factor M and the (n_t, n_t) unitary
+    rotation R.
     """
     scale = (p1 / n_t) * t1
     ym = pilot_correlation(y1, s1_pilot, scale)
     if not np.any(np.abs(ym) > 0):
         raise NumericalError("degenerate pilot correlation: received signal uncorrelated with pilots")
-    res = svd(ym)
-    n_u = y1.shape[0]
-    m_hat = np.zeros((n_u, n_t), dtype=complex)
-    m_hat[:, : res.sigma.size] = res.u * res.sigma
+    u, sigma, _ = np.linalg.svd(ym, full_matrices=False)
+    m_hat = np.zeros((y1.shape[0], n_t), dtype=complex)
+    m_hat[:, : sigma.size] = u * sigma
     yr = m_hat.conj().T @ y1 @ s1_pilot.conj().T / scale
     r_hat = procrustes_rotation(yr, order="vu")
     g_hat = m_hat @ r_hat.conj().T
-    return ChannelEstimate(matrix=g_hat, whitening=m_hat, rotation=r_hat)
+    return g_hat, m_hat, r_hat

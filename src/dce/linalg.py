@@ -1,10 +1,8 @@
-"""Dense complex linear algebra kernel and seeded randomness.
+"""Seeded randomness and orthonormal-row pilot matrices.
 
 Every draw in the pipeline comes from the stream-based RNG defined here,
-so the same seeds give bit-identical results.  The phase-fixed SVD backs
-the whitening-rotation reference (channel.wr_decompose, the Procrustes
-rotation, the WR estimators); it is not on the Monte Carlo trial path,
-which needs only pilot correlations, one eigh and one QR.
+so the same seeds give bit-identical results.  The pilot rows are either
+public DFT rows or a privately drawn Haar-like set.
 """
 
 from __future__ import annotations
@@ -14,40 +12,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError
 
 __all__ = [
-    "SvdResult",
     "RngStream",
-    "svd",
     "complex_gaussian",
     "orthonormal_rows",
 ]
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Full SVD a = u @ diag(sigma) @ vh with a fixed phase convention.
-
-    u is m x m unitary, vh is n x n unitary (rows are the conjugated right
-    singular vectors), sigma holds the min(m, n) singular values in
-    descending order.
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    vh: np.ndarray
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.vh.conj().T
-
-    def reconstruct(self) -> np.ndarray:
-        m, n = self.u.shape[0], self.vh.shape[0]
-        full = np.zeros((m, n), dtype=complex)
-        k = self.sigma.size
-        full[:k, :k] = np.diag(self.sigma)
-        return self.u @ full @ self.vh
 
 
 @dataclass(frozen=True)
@@ -72,26 +43,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def _fix_svd_phases(u: np.ndarray, vh: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # Rotate each column of u so its first non-negligible entry is real and
-    # non-negative; compensate in the matching row of vh so the product is
-    # unchanged.  Columns of u beyond the k paired triplets have no vh row,
-    # so the rotation there is unconstrained and applied to u alone.
-    absu = np.abs(u)
-    mask = absu > 1e-12
-    first = mask.argmax(axis=0)
-    missing = ~mask.any(axis=0)
-    if missing.any():  # unit columns always clear the threshold; belt and braces
-        first[missing] = absu[:, missing].argmax(axis=0)
-    lead = u[first, np.arange(u.shape[1])]
-    mag = np.abs(lead)
-    phase = np.where(mag > 0, lead, 1.0) / np.where(mag > 0, mag, 1.0)
-    u = u * phase.conj()
-    vh = vh.copy()
-    vh[:k, :] *= phase[:k, None]
-    return u, vh
-
-
 @lru_cache(maxsize=64)
 def _dft_rows(n_rows: int, n_cols: int) -> np.ndarray:
     cols = np.arange(n_cols)
@@ -99,27 +50,6 @@ def _dft_rows(n_rows: int, n_cols: int) -> np.ndarray:
     out = np.exp(-2j * np.pi * rows * cols / n_cols) / np.sqrt(n_cols)
     out.flags.writeable = False
     return out
-
-
-def svd(a: np.ndarray) -> SvdResult:
-    """Full SVD with a deterministic sign/phase convention.
-
-    The first non-negligible entry of every column of u is made real and
-    non-negative by a phase rotation absorbed into the corresponding row
-    of vh, so repeated calls on the same input (and downstream estimates
-    built from the factors) are reproducible.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionError(f"svd expects a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError(f"svd input of shape {a.shape} contains non-finite entries")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix") from exc
-    u, vh = _fix_svd_phases(u, vh, k=s.size)
-    return SvdResult(u=u, sigma=s, vh=vh)
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int, variance: float) -> np.ndarray:

@@ -48,11 +48,19 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class PowerAllocationProblem:
-    """Validated allocation instance; rejects gamma outside its feasible range."""
+    """Validated allocation instance; rejects gamma outside its feasible range.
+
+    A zero wiretap channel (sigma_g_sq = 0) is rejected too: no jamming
+    reaches the eavesdropper, so it cannot make the gamma constraint active.
+    """
 
     cfg: SystemConfig
 
     def __post_init__(self) -> None:
+        if self.cfg.sigma_g_sq == 0:
+            raise InfeasibleConfigError(
+                "sigma_g_sq=0: jamming cannot reach the eavesdropper, so the gamma constraint cannot be active"
+            )
         lo, hi = gamma_bounds(self.cfg)
         if not (lo <= self.cfg.gamma <= hi):
             raise InfeasibleConfigError(

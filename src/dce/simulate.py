@@ -141,9 +141,9 @@ def run_trial(
                 x0, ch.g, attack, cfg, stream.substream(_ATTACK), legit_c0=reverse.c0
             )
         if scheme == "wr":
-            uplink = blind_whitening_tx(x0, allocation.p0, cfg.t0, cfg.n_l).matrix
+            uplink = blind_whitening_tx(x0, allocation.p0, cfg.t0, cfg.n_l)
         else:
-            uplink = lmmse_uplink(x0, reverse, cfg.sigma_h_sq, cfg.sigma0_sq).matrix
+            uplink = lmmse_uplink(x0, reverse, cfg.sigma_h_sq, cfg.sigma0_sq)
     an_basis = build_an_basis(uplink)
 
     # forward phase
@@ -153,8 +153,8 @@ def run_trial(
 
     # estimation at both receivers
     if scheme == "lmmse":
-        h_hat = lmmse_downlink(x1, forward, cfg.sigma_h_sq, cfg.sigma0_sq).matrix
-        g_hat = lmmse_downlink(y1, forward, cfg.sigma_g_sq, cfg.sigma0_sq).matrix
+        h_hat = lmmse_downlink(x1, forward, cfg.sigma_h_sq, cfg.sigma0_sq)
+        g_hat = lmmse_downlink(y1, forward, cfg.sigma_g_sq, cfg.sigma0_sq)
     else:
         # the whitening-rotation estimates (wr_estimate_lr / _ur) equal these
         x = allocation.p1 * cfg.t1 / cfg.n_t
@@ -188,9 +188,11 @@ def _closed_forms(
         return analysis.nmse_lr_closed(cfg, alloc.p0, alloc.p1, 0.0), ur_cf
     if attack.mode == "none" or attack.p0_bar == 0:
         return analysis.nmse_lr_closed(cfg, alloc.p0, alloc.p1, alloc.sigma_a_sq), ur_cf
+    # Contamination steers the jamming basis toward G as well, so the clean
+    # wiretap prediction no longer holds: the UR value is out of model.
     return (
         analysis.nmse_lr_attack_closed(cfg, alloc.p0, attack.p0_bar, alloc.p1, alloc.sigma_a_sq),
-        ur_cf,
+        None,
     )
 
 
@@ -198,8 +200,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRow]:
     """Run all sweep points of the spec; bit-reproducible for a given master seed.
 
     Infeasible sweep points (gamma outside its bounds at that operating
-    point) produce a row with empty value fields and the run continues.
-    With workers > 1 one process pool serves every sweep point.
+    point, or no wiretap channel to jam) produce a row with empty value
+    fields and the run continues.
+    Trials run in the same chunks for every worker count: with workers > 1
+    one process pool maps them for every sweep point, with one worker they
+    are mapped in this process.
     """
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         return [
@@ -249,22 +254,17 @@ def _run_point(
         )
 
     base_id = sweep_index * (2**32)
+    chunk = max(1, math.ceil(spec.trials / (workers * 4)))
+    jobs = [
+        (cfg, alloc, spec.scheme, attack, spec.master_seed, base_id,
+         range(start, min(start + chunk, spec.trials)))
+        for start in range(0, spec.trials, chunk)
+    ]
     lr_vals = [0.0] * spec.trials
     ur_vals = [0.0] * spec.trials
-    if pool is None:
-        for i in range(spec.trials):
-            stream = RngStream(spec.master_seed, base_id + i)
-            lr_vals[i], ur_vals[i] = run_trial(cfg, alloc, spec.scheme, attack, stream)
-    else:
-        chunk = max(1, math.ceil(spec.trials / (workers * 4)))
-        jobs = [
-            (cfg, alloc, spec.scheme, attack, spec.master_seed, base_id,
-             list(range(start, min(start + chunk, spec.trials))))
-            for start in range(0, spec.trials, chunk)
-        ]
-        for part in pool.map(_trial_chunk, jobs):
-            for i, lr, ur in part:
-                lr_vals[i], ur_vals[i] = lr, ur
+    for part in (pool.map if pool else map)(_trial_chunk, jobs):
+        for i, lr, ur in part:
+            lr_vals[i], ur_vals[i] = lr, ur
 
     lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
     return ResultRow(

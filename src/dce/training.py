@@ -20,7 +20,6 @@ from .linalg import complex_gaussian, orthonormal_rows
 __all__ = [
     "ReverseSignal",
     "ForwardSignal",
-    "AttackSignal",
     "build_reverse_signal",
     "build_an_basis",
     "build_forward_signal",
@@ -39,29 +38,15 @@ class ReverseSignal:
 
 @dataclass(frozen=True)
 class ForwardSignal:
-    """Forward signal s1 = s1_pilot + an_basis @ an.
+    """Forward signal s1 = s1_pilot + (artificial noise in the jamming basis).
 
-    s1_pilot = sqrt(p1 t1 / n_t) c1 is the public pilot part; `an` holds
-    i.i.d. CN(0, sigma_a_sq) jamming entries mapped through the
-    orthonormal-column basis `an_basis`.
+    s1_pilot = sqrt(p1 t1 / n_t) c1, with orthonormal public rows c1, is
+    the part of s1 the receivers know.
     """
 
     s1: np.ndarray
     s1_pilot: np.ndarray
-    c1: np.ndarray
-    an_basis: np.ndarray
-    an: np.ndarray
     p1: float
-    sigma_a_sq: float
-
-
-@dataclass(frozen=True)
-class AttackSignal:
-    """Contaminating pilots s0_bar = sqrt(p0_bar t0 / n_l) c0_bar."""
-
-    s0_bar: np.ndarray
-    c0_bar: np.ndarray
-    p0_bar: float
 
 
 def build_reverse_signal(
@@ -127,16 +112,7 @@ def build_forward_signal(
     c1 = orthonormal_rows(cfg.n_t, cfg.t1, mode="fixed")
     s1_pilot = np.sqrt(p1 * cfg.t1 / cfg.n_t) * c1
     an = complex_gaussian(rng, cfg.n_t - cfg.n_l, cfg.t1, sigma_a_sq)
-    s1 = s1_pilot + an_basis @ an
-    return ForwardSignal(
-        s1=s1,
-        s1_pilot=s1_pilot,
-        c1=c1,
-        an_basis=an_basis,
-        an=an,
-        p1=p1,
-        sigma_a_sq=sigma_a_sq,
-    )
+    return ForwardSignal(s1=s1_pilot + an_basis @ an, s1_pilot=s1_pilot, p1=p1)
 
 
 def build_attack_signal(
@@ -145,22 +121,21 @@ def build_attack_signal(
     strategy: str = "guess",
     rng: np.random.Generator | None = None,
     legit_c0: np.ndarray | None = None,
-) -> AttackSignal:
-    """Contaminating reverse pilots sent by the eavesdropper.
+) -> np.ndarray:
+    """Contaminating reverse pilots s0_bar = sqrt(p0_bar t0 / n_l) c0_bar.
 
-    strategy="known_pilot" replays the legitimate pilot matrix (possible
+    strategy="known_pilot" replays the legitimate pilot matrix c0 (possible
     only when pilots are public); strategy="guess" draws independent
-    orthonormal rows.  p0_bar = 0 yields a silent attacker.
+    orthonormal rows c0_bar.  p0_bar = 0 yields a silent attacker.
     """
     if p0_bar < 0:
         raise ValueError("p0_bar must be >= 0")
     if strategy == "known_pilot":
         if legit_c0 is None:
             raise ValueError("known_pilot strategy requires the legitimate pilot matrix")
-        c0_bar = legit_c0.copy()
+        c0_bar = legit_c0
     elif strategy == "guess":
         c0_bar = orthonormal_rows(cfg.n_l, cfg.t0, mode="random", rng=rng)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    s0_bar = np.sqrt(p0_bar * cfg.t0 / cfg.n_l) * c0_bar
-    return AttackSignal(s0_bar=s0_bar, c0_bar=c0_bar, p0_bar=p0_bar)
+    return np.sqrt(p0_bar * cfg.t0 / cfg.n_l) * c0_bar

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dce import RngStream, SystemConfig, sample_channels, svd, wr_decompose
+from dce import RngStream, SystemConfig, sample_channels
 from dce.errors import DimensionError
 
 from conftest import make_cfg
@@ -47,36 +47,3 @@ def test_sample_channels_statistics():
         acc += np.real(np.vdot(h, h))
     mean = acc / (trials * cfg.n_l * cfg.n_t)
     assert 0.99 <= mean <= 1.01
-
-
-def test_wr_decompose_identity():
-    d = wr_decompose(np.eye(2))
-    assert np.allclose(d.w, np.eye(2))
-    assert np.allclose(d.q, np.eye(2))
-
-
-def test_wr_decompose_roundtrip_bulk():
-    rng = np.random.default_rng(2)
-    for _ in range(1000):
-        m = int(rng.integers(2, 9))
-        k = int(rng.integers(1, m + 1))
-        a = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-        d = wr_decompose(a)
-        assert np.linalg.norm(d.q @ d.q.conj().T - np.eye(k)) <= 1e-10
-        rel = np.linalg.norm(d.w @ d.q.conj().T - a) / np.linalg.norm(a)
-        assert rel <= 1e-10
-
-
-def test_wr_decompose_matches_svd_factors():
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-    a = h.T
-    d = wr_decompose(a)
-    res = svd(a)
-    assert np.allclose(d.w, res.u[:, :2] * res.sigma, atol=1e-12)
-
-
-def test_wr_decompose_rejects_wide():
-    with pytest.raises(DimensionError):
-        wr_decompose(np.ones((2, 4), dtype=complex))
-

@@ -27,6 +27,14 @@ def test_power_alloc_infeasible_gamma_exit_2(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["power-alloc", "closed-form"])
+def test_zero_wiretap_variance_exit_2(command, tmp_path, capsys):
+    cfg_path = tmp_path / "g0.json"
+    cfg_path.write_text(json.dumps({"sigma_g_sq": 0.0}))
+    assert main([command, "--snr-db", "20", "--config", str(cfg_path)]) == 2
+    assert "infeasible configuration" in capsys.readouterr().err
+
+
 def test_closed_form_with_attack(capsys):
     assert main(["closed-form", "--gamma", "0.03", "--snr-db", "20", "--p0-bar", "1.0"]) == 0
     out = capsys.readouterr().out

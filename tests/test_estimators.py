@@ -17,7 +17,6 @@ from dce import (
     procrustes_rotation,
     sample_channels,
     run_trial,
-    wr_decompose,
     wr_estimate_lr,
     wr_estimate_ur,
 )
@@ -38,7 +37,7 @@ def test_lmmse_uplink_noise_free():
     rs = build_reverse_signal(CFG, p0=1.0, mode="fixed")
     x0 = ch.h.T @ rs.s0
     est = lmmse_uplink(x0, rs, CFG.sigma_h_sq, 0.0)
-    assert np.linalg.norm(est.matrix - ch.h.T) <= 1e-9
+    assert np.linalg.norm(est - ch.h.T) <= 1e-9
 
 
 def test_lmmse_uplink_shrinkage_identity():
@@ -51,7 +50,7 @@ def test_lmmse_uplink_shrinkage_identity():
     est = lmmse_uplink(x0, rs, CFG.sigma_h_sq, sigma0_sq)
     alpha = 1.0 * CFG.t0 / CFG.n_l
     shrink = alpha * CFG.sigma_h_sq / (alpha * CFG.sigma_h_sq + sigma0_sq)
-    assert np.linalg.norm(est.matrix - shrink * ch.h.T) <= 1e-12
+    assert np.linalg.norm(est - shrink * ch.h.T) <= 1e-12
 
 
 def test_lmmse_matches_textbook_formula():
@@ -66,16 +65,16 @@ def test_lmmse_matches_textbook_formula():
         ch = sample_channels(CFG, rng)
         rs = build_reverse_signal(CFG, p0=0.8, mode="fixed")
         x0 = ch.h.T @ rs.s0 + complex_gaussian(rng, CFG.n_t, CFG.t0, sigma0_sq)
-        up = lmmse_uplink(x0, rs, 1.3, sigma0_sq).matrix
+        up = lmmse_uplink(x0, rs, 1.3, sigma0_sq)
         want = textbook(x0, rs.s0, 1.3, sigma0_sq)
         assert np.linalg.norm(up - want) <= 1e-12 * np.linalg.norm(want)
         fs = build_forward_signal(CFG, build_an_basis(up), p1=0.5, sigma_a_sq=0.25, rng=rng)
         x1 = ch.h @ fs.s1 + complex_gaussian(rng, CFG.n_l, CFG.t1, sigma0_sq)
-        down = lmmse_downlink(x1, fs, 0.7, sigma0_sq).matrix
+        down = lmmse_downlink(x1, fs, 0.7, sigma0_sq)
         want = textbook(x1, fs.s1_pilot, 0.7, sigma0_sq)
         assert np.linalg.norm(down - want) <= 1e-12 * np.linalg.norm(want)
     # no channel variance and no noise: nothing to estimate, the estimate is 0
-    assert np.all(lmmse_uplink(x0, rs, 0.0, 0.0).matrix == 0)
+    assert np.all(lmmse_uplink(x0, rs, 0.0, 0.0) == 0)
 
 
 def test_wr_estimates_equal_pilot_correlation():
@@ -90,30 +89,59 @@ def test_wr_estimates_equal_pilot_correlation():
         ch = sample_channels(CFG, rng)
         rs = build_reverse_signal(CFG, p0=1.0, mode="random", rng=rng)
         x0 = ch.h.T @ rs.s0 + complex_gaussian(rng, CFG.n_t, CFG.t0, sigma0_sq)
-        n = build_an_basis(blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l).matrix)
+        n = build_an_basis(blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l))
         fs = build_forward_signal(CFG, n, p1, sigma_a_sq, rng)
         for chan, estimate in ((ch.h, wr_estimate_lr), (ch.g, wr_estimate_ur)):
             obs = chan @ fs.s1 + complex_gaussian(rng, chan.shape[0], CFG.t1, sigma0_sq)
             ls = obs @ fs.s1_pilot.conj().T / x
-            wr = estimate(obs, fs.s1_pilot, p1, CFG.t1, CFG.n_t).matrix
+            wr, _, _ = estimate(obs, fs.s1_pilot, p1, CFG.t1, CFG.n_t)
             worst = max(worst, np.linalg.norm(wr - ls) / np.linalg.norm(ls))
     assert worst <= 1e-12
 
 
+def test_wr_reference_ignores_svd_phase(monkeypatch):
+    # a phase on a singular pair cancels in U V^H and in whitening x rotation,
+    # so the reference needs no phase convention on np.linalg.svd
+    rng = RngStream(18).substream()
+    ch = sample_channels(CFG, rng)
+    fs = build_forward_signal(CFG, build_an_basis(ch.h.T), 0.5, 0.25, rng)
+    x1 = ch.h @ fs.s1 + complex_gaussian(rng, CFG.n_l, CFG.t1, 0.01)
+    y1 = ch.g @ fs.s1 + complex_gaussian(rng, CFG.n_u, CFG.t1, 0.01)
+    cases = ((wr_estimate_lr, x1), (wr_estimate_ur, y1))
+    plain = [est(obs, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)[0] for est, obs in cases]
+
+    svd = np.linalg.svd
+    phases = np.random.default_rng(19)
+
+    def rephased(a, full_matrices=True, **kw):
+        u, s, vh = svd(a, full_matrices=full_matrices, **kw)
+        ph = np.exp(2j * np.pi * phases.random(u.shape[1]))
+        u = u * ph
+        k = min(u.shape[1], vh.shape[0])  # the paired singular vectors
+        vh = vh.copy()
+        vh[:k] *= ph[:k, None].conj()
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", rephased)
+    for want, (est, obs) in zip(plain, cases):
+        got = est(obs, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_lmmse_downlink_noise_free_recovery():
     ch = sample_channels(CFG, RngStream(2).substream())
-    n = build_an_basis(wr_decompose(ch.h.T).w)
+    n = build_an_basis(ch.h.T)
     fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=RngStream(3).substream())
     x1 = ch.h @ fs.s1  # exact basis: jamming invisible, no noise
     est = lmmse_downlink(x1, fs, CFG.sigma_h_sq, 0.0)
-    assert np.linalg.norm(est.matrix - ch.h) <= 1e-9
+    assert np.linalg.norm(est - ch.h) <= 1e-9
 
 
 def test_blind_whitening_noiseless_autocorrelation():
     ch = sample_channels(CFG, RngStream(4).substream())
     rs = build_reverse_signal(CFG, p0=1.0, mode="random", rng=RngStream(5).substream())
     x0 = ch.h.T @ rs.s0
-    w0 = blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l).matrix
+    w0 = blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l)
     target = ch.h.T @ ch.h.conj()
     got = w0 @ w0.conj().T
     assert np.linalg.norm(got - target) / np.linalg.norm(target) <= 1e-9
@@ -135,7 +163,7 @@ def test_blind_whitening_subspace_improves_with_t0():
             ch = sample_channels(cfg, rng)
             rs = build_reverse_signal(cfg, p0=1.0, mode="random", rng=rng)
             x0 = ch.h.T @ rs.s0 + complex_gaussian(rng, cfg.n_t, t0, sigma0_sq)
-            w0 = blind_whitening_tx(x0, 1.0, t0, cfg.n_l).matrix
+            w0 = blind_whitening_tx(x0, 1.0, t0, cfg.n_l)
             q_true, _ = np.linalg.qr(ch.h.T)
             proj = w0 - q_true @ (q_true.conj().T @ w0)
             acc += np.linalg.norm(proj) ** 2 / np.linalg.norm(w0) ** 2
@@ -167,45 +195,44 @@ def test_procrustes_output_unitary():
 
 def test_wr_lr_noise_free_exact():
     ch = sample_channels(CFG, RngStream(9).substream())
-    n = build_an_basis(wr_decompose(ch.h.T).w)
+    n = build_an_basis(ch.h.T)
     fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=RngStream(10).substream())
     x1 = ch.h @ fs.s1
-    est = wr_estimate_lr(x1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
-    assert np.linalg.norm(est.matrix - ch.h) <= 1e-8
+    est, whitening, rotation = wr_estimate_lr(x1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
+    assert np.linalg.norm(est - ch.h) <= 1e-8
     # factors reconstruct the estimate
-    assert np.linalg.norm(est.rotation.conj() @ est.whitening.T - est.matrix) <= 1e-10
+    assert np.linalg.norm(rotation.conj() @ whitening.T - est) <= 1e-10
 
 
 def test_wr_lr_rotation_always_unitary():
     rng = RngStream(11).substream()
     for _ in range(20):
         ch = sample_channels(CFG, rng)
-        n = build_an_basis(wr_decompose(ch.h.T).w)
+        n = build_an_basis(ch.h.T)
         fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=rng)
         x1 = ch.h @ fs.s1 + complex_gaussian(rng, CFG.n_l, CFG.t1, 0.1)
-        est = wr_estimate_lr(x1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
-        q = est.rotation
+        _, _, q = wr_estimate_lr(x1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
         assert np.linalg.norm(q @ q.conj().T - np.eye(CFG.n_l)) <= 1e-10
 
 
 def test_wr_ur_noise_free_exact_without_an():
     ch = sample_channels(CFG, RngStream(12).substream())
-    n = build_an_basis(wr_decompose(ch.h.T).w)
+    n = build_an_basis(ch.h.T)
     fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.0, rng=RngStream(13).substream())
     y1 = ch.g @ fs.s1
-    est = wr_estimate_ur(y1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
-    assert np.linalg.norm(est.matrix - ch.g) <= 1e-8
-    assert np.linalg.norm(est.whitening @ est.rotation.conj().T - est.matrix) <= 1e-10
+    est, whitening, rotation = wr_estimate_ur(y1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
+    assert np.linalg.norm(est - ch.g) <= 1e-8
+    assert np.linalg.norm(whitening @ rotation.conj().T - est) <= 1e-10
 
 
 def test_wr_ur_rotation_always_unitary():
     rng = RngStream(14).substream()
     for _ in range(20):
         ch = sample_channels(CFG, rng)
-        n = build_an_basis(wr_decompose(ch.h.T).w)
+        n = build_an_basis(ch.h.T)
         fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=rng)
         y1 = ch.g @ fs.s1 + complex_gaussian(rng, CFG.n_u, CFG.t1, 0.1)
-        r = wr_estimate_ur(y1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t).rotation
+        _, _, r = wr_estimate_ur(y1, fs.s1_pilot, 0.5, CFG.t1, CFG.n_t)
         assert np.linalg.norm(r.conj().T @ r - np.eye(CFG.n_t)) <= 1e-10
 
 

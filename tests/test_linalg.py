@@ -1,70 +1,8 @@
 import numpy as np
 import pytest
 
-from dce import RngStream, complex_gaussian, orthonormal_rows, svd
+from dce import RngStream, complex_gaussian, orthonormal_rows
 from dce.errors import DimensionError
-
-
-def random_complex(rng, m, n):
-    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-
-
-def test_svd_identity():
-    res = svd(np.eye(3))
-    assert np.allclose(res.u, np.eye(3))
-    assert np.allclose(res.sigma, [1, 1, 1])
-    assert np.allclose(res.v, np.eye(3))
-
-
-def test_svd_diagonal():
-    res = svd(np.diag([3.0, 2.0]))
-    assert np.allclose(res.sigma, [3.0, 2.0])
-
-
-def test_svd_reconstruction_random():
-    rng = np.random.default_rng(0)
-    a = random_complex(rng, 2, 4)
-    res = svd(a)
-    assert np.linalg.norm(res.reconstruct() - a) <= 1e-10
-
-
-def test_svd_invariants_bulk():
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        m = int(rng.integers(1, 9))
-        n = int(rng.integers(1, 201))
-        a = random_complex(rng, m, n)
-        res = svd(a)
-        assert np.linalg.norm(res.u @ res.u.conj().T - np.eye(m)) <= 1e-10
-        assert np.linalg.norm(res.vh @ res.vh.conj().T - np.eye(n)) <= 1e-10
-        assert np.all(np.diff(res.sigma) <= 1e-12)
-        rel = np.linalg.norm(res.reconstruct() - a) / max(np.linalg.norm(a), 1e-300)
-        assert rel <= 1e-10
-
-
-def test_svd_phase_convention():
-    rng = np.random.default_rng(2)
-    a = random_complex(rng, 5, 7)
-    res = svd(a)
-    for j in range(res.u.shape[1]):
-        col = res.u[:, j]
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        assert abs(lead.imag) <= 1e-12
-        assert lead.real >= -1e-12
-
-
-def test_svd_deterministic():
-    rng = np.random.default_rng(3)
-    a = random_complex(rng, 4, 6)
-    r1, r2 = svd(a), svd(a.copy(order="F"))
-    assert np.array_equal(r1.u, r2.u)
-    assert np.array_equal(r1.sigma, r2.sigma)
-    assert np.array_equal(r1.vh, r2.vh)
-
-
-def test_svd_rejects_bad_input():
-    with pytest.raises(Exception):
-        svd(np.array([[np.nan + 0j, 1.0]]))
 
 
 def test_complex_gaussian_zero_variance():

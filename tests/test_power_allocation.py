@@ -61,6 +61,12 @@ def test_problem_rejects_infeasible_gamma():
         PowerAllocationProblem(make_cfg(gamma=3.0))
 
 
+def test_problem_rejects_zero_wiretap_variance():
+    # no jamming reaches a zero wiretap channel, so gamma cannot be made active
+    with pytest.raises(InfeasibleConfigError, match="sigma_g_sq"):
+        PowerAllocationProblem(make_cfg(sigma_g_sq=0.0))
+
+
 def test_solve_reference_solution():
     alloc = solve(PowerAllocationProblem(CFG))
     assert alloc.x == pytest.approx(17.2439, abs=1e-3)

@@ -166,6 +166,8 @@ def test_attacked_rows_carry_attack_closed_form():
     row = run_experiment(spec)[0]
     expected = nmse_lr_attack_closed(CFG, row.p0, 0.7, row.p1, row.sigma_a_sq)
     assert row.nmse_lr_cf == pytest.approx(expected, rel=1e-12)
+    # contamination moves the jamming basis toward G: no wiretap closed form
+    assert row.nmse_ur_cf is None
 
 
 def test_csv_header_and_empty(tmp_path):

@@ -11,8 +11,8 @@ from dce import (
     build_reverse_signal,
     complex_gaussian,
     lmmse_uplink,
+    orthonormal_rows,
     sample_channels,
-    wr_decompose,
 )
 from dce.errors import DimensionError, NumericalError
 
@@ -42,13 +42,9 @@ def test_reverse_signal_random_seeds_differ():
     assert np.linalg.norm(pa - pb) > 0.1
 
 
-def exact_whitening(h):
-    return wr_decompose(h.T).w
-
-
 def test_an_basis_bilinear_orthogonality_and_invisibility():
     ch = sample_channels(CFG, RngStream(3).substream())
-    w = exact_whitening(ch.h)
+    w = ch.h.T  # exact uplink estimate
     n = build_an_basis(w)
     assert n.shape == (CFG.n_t, CFG.n_t - CFG.n_l)
     assert np.linalg.norm(n.T @ w) <= 1e-10
@@ -59,7 +55,7 @@ def test_an_basis_bilinear_orthogonality_and_invisibility():
 
 def test_an_basis_scale_invariant():
     ch = sample_channels(CFG, RngStream(4).substream())
-    w = exact_whitening(ch.h)
+    w = ch.h.T
     n1 = build_an_basis(w)
     n2 = build_an_basis(2.5 * w)
     assert np.linalg.norm(n1 @ n1.conj().T - n2 @ n2.conj().T) <= 1e-10
@@ -77,10 +73,10 @@ def test_an_basis_projector_is_the_svd_complement(scheme):
         rs = build_reverse_signal(CFG, p0=1.0, mode="fixed" if scheme == "lmmse" else "random", rng=rng)
         x0 = ch.h.T @ rs.s0 + complex_gaussian(rng, CFG.n_t, CFG.t0, 0.01)
         if scheme == "wr":
-            est = blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l).matrix
+            est = blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l)
             u = np.linalg.svd(x0 @ x0.conj().T)[0]
         elif scheme == "lmmse":
-            est = lmmse_uplink(x0, rs, CFG.sigma_h_sq, 0.01).matrix
+            est = lmmse_uplink(x0, rs, CFG.sigma_h_sq, 0.01)
             u = np.linalg.svd(est)[0]
         else:
             est = ch.h.T
@@ -105,7 +101,7 @@ def test_an_basis_leak_shrinks_with_reverse_energy():
             ch = sample_channels(cfg, rng)
             rs = build_reverse_signal(cfg, p0=1.0, mode="random", rng=rng)
             x0 = ch.h.T @ rs.s0 + complex_gaussian(rng, cfg.n_t, cfg.t0, sigma0_sq)
-            w0 = blind_whitening_tx(x0, 1.0, cfg.t0, cfg.n_l).matrix
+            w0 = blind_whitening_tx(x0, 1.0, cfg.t0, cfg.n_l)
             n = build_an_basis(w0)
             acc += np.linalg.norm(ch.h @ n) ** 2
         leaks.append(acc / trials)
@@ -117,10 +113,12 @@ def test_an_basis_leak_shrinks_with_reverse_energy():
 
 def test_forward_signal_structure():
     ch = sample_channels(CFG, RngStream(6).substream())
-    n = build_an_basis(exact_whitening(ch.h))
+    n = build_an_basis(ch.h.T)
     fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.25, rng=RngStream(7).substream())
-    assert np.linalg.norm(fs.c1 @ fs.c1.conj().T - np.eye(CFG.n_t)) <= 1e-12
-    assert np.allclose(fs.s1_pilot, np.sqrt(0.5 * CFG.t1 / CFG.n_t) * fs.c1)
+    # s1_pilot s1_pilot^H = (p1 t1 / n_t) I, with the public DFT rows
+    gram = fs.s1_pilot @ fs.s1_pilot.conj().T
+    assert np.linalg.norm(gram - 0.5 * CFG.t1 / CFG.n_t * np.eye(CFG.n_t)) <= 1e-12
+    assert np.allclose(fs.s1_pilot, np.sqrt(0.5 * CFG.t1 / CFG.n_t) * orthonormal_rows(CFG.n_t, CFG.t1))
     # AN part lies in the basis column space
     resid = (fs.s1 - fs.s1_pilot) - n @ (n.conj().T @ (fs.s1 - fs.s1_pilot))
     assert np.linalg.norm(resid) <= 1e-10
@@ -128,14 +126,14 @@ def test_forward_signal_structure():
 
 def test_forward_signal_no_an():
     ch = sample_channels(CFG, RngStream(8).substream())
-    n = build_an_basis(exact_whitening(ch.h))
+    n = build_an_basis(ch.h.T)
     fs = build_forward_signal(CFG, n, p1=0.5, sigma_a_sq=0.0, rng=RngStream(9).substream())
     assert np.array_equal(fs.s1, fs.s1_pilot)
 
 
 def test_forward_signal_power_accounting():
     ch = sample_channels(CFG, RngStream(10).substream())
-    n = build_an_basis(exact_whitening(ch.h))
+    n = build_an_basis(ch.h.T)
     rng = RngStream(11).substream()
     sigma_a_sq = 0.25
     acc = 0.0
@@ -149,19 +147,20 @@ def test_forward_signal_power_accounting():
 
 def test_attack_signal_known_pilot_copies():
     rs = build_reverse_signal(CFG, p0=1.0, mode="fixed")
-    atk = build_attack_signal(CFG, p0_bar=1.0, strategy="known_pilot", legit_c0=rs.c0)
-    assert np.array_equal(atk.c0_bar, rs.c0)
-    assert np.allclose(atk.s0_bar, rs.s0)
+    s0_bar = build_attack_signal(CFG, p0_bar=1.0, strategy="known_pilot", legit_c0=rs.c0)
+    assert np.allclose(s0_bar, rs.s0)
 
 
 def test_attack_signal_zero_power():
-    atk = build_attack_signal(CFG, p0_bar=0.0, strategy="guess", rng=RngStream(12).substream())
-    assert np.all(atk.s0_bar == 0)
+    s0_bar = build_attack_signal(CFG, p0_bar=0.0, strategy="guess", rng=RngStream(12).substream())
+    assert np.all(s0_bar == 0)
 
 
 def test_attack_signal_guess_orthonormal():
-    atk = build_attack_signal(CFG, p0_bar=1.0, strategy="guess", rng=RngStream(13).substream())
-    assert np.linalg.norm(atk.c0_bar @ atk.c0_bar.conj().T - np.eye(CFG.n_l)) <= 1e-12
+    s0_bar = build_attack_signal(CFG, p0_bar=1.0, strategy="guess", rng=RngStream(13).substream())
+    # s0_bar s0_bar^H = (p0_bar t0 / n_l) I
+    gram = s0_bar @ s0_bar.conj().T
+    assert np.linalg.norm(gram - 1.0 * CFG.t0 / CFG.n_l * np.eye(CFG.n_l)) <= 1e-12
 
 
 def test_attack_signal_known_pilot_needs_c0():
