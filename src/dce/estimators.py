@@ -58,15 +58,21 @@ def pilot_correlation(obs: np.ndarray, pilots: np.ndarray, energy: float) -> np.
     return obs @ pilots.conj().T / energy
 
 
-def _lmmse(obs: np.ndarray, pilots: np.ndarray, energy: float, sigma_ch_sq: float, sigma0_sq: float) -> np.ndarray:
-    # Under S S^H = energy I the textbook estimate
-    # [sigma^2 (sigma^2 S S^H + sigma0^2 I)^-1 S obs^H]^H is the pilot
-    # correlation shrunk by alpha = sigma^2 energy / (sigma^2 energy + sigma0^2);
-    # a zero denominator means nothing to estimate, and the estimate is 0.
+def shrinkage(sigma_ch_sq: float, energy: float, sigma0_sq: float) -> float:
+    """LMMSE factor alpha = sigma^2 energy / (sigma^2 energy + sigma0^2).
+
+    Under S S^H = energy I the textbook estimate
+    [sigma^2 (sigma^2 S S^H + sigma0^2 I)^-1 S obs^H]^H is the pilot
+    correlation times alpha; a zero denominator means nothing to
+    estimate, and alpha is 0.
+    """
     signal = sigma_ch_sq * energy
     total = signal + sigma0_sq
-    alpha = signal / total if total > 0 else 0.0
-    return alpha * pilot_correlation(obs, pilots, energy)
+    return signal / total if total > 0 else 0.0
+
+
+def _lmmse(obs: np.ndarray, pilots: np.ndarray, energy: float, sigma_ch_sq: float, sigma0_sq: float) -> np.ndarray:
+    return shrinkage(sigma_ch_sq, energy, sigma0_sq) * pilot_correlation(obs, pilots, energy)
 
 
 def lmmse_uplink(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
-from .errors import InfeasibleConfigError
+from .errors import InfeasibleConfigError, NumericalError
 
 __all__ = [
     "PowerAllocationProblem",
@@ -115,7 +115,9 @@ def solve(problem: PowerAllocationProblem) -> PowerAllocation:
     With y(x) substituted the objective is c1/x + c2 with
     c1 = sigma0^2 (1 - n_l sigma0^2 / (sigma_g^2 p_ave)), so the optimum
     is x_max when c1 >= 0 (ties resolve toward larger x, lower NMSE at
-    the legitimate receiver) and x_min otherwise.
+    the legitimate receiver) and x_min otherwise.  Raises NumericalError
+    when that arithmetic overflows, as it does for a sigma_g_sq near the
+    largest float.
     """
     cfg = problem.cfg
     x_lo, x_hi = feasible_x_interval(cfg)
@@ -123,7 +125,7 @@ def solve(problem: PowerAllocationProblem) -> PowerAllocation:
     best_x = x_hi if c1 >= 0 else x_lo
     y_star = max(problem.y_of_x(best_x), 0.0)
     z_star = cfg.p_ave
-    return PowerAllocation(
+    alloc = PowerAllocation(
         x=best_x,
         y=y_star,
         z=z_star,
@@ -132,6 +134,9 @@ def solve(problem: PowerAllocationProblem) -> PowerAllocation:
         p0=z_star,
         objective=problem.objective(best_x),
     )
+    if not np.all(np.isfinite([alloc.x, alloc.y, alloc.p1, alloc.sigma_a_sq, alloc.objective])):
+        raise NumericalError(f"non-finite power allocation: {alloc}")
+    return alloc
 
 
 def solve_grid_oracle(problem: PowerAllocationProblem, grid_points: int = 2000) -> PowerAllocation:

@@ -1,26 +1,36 @@
 """Monte Carlo orchestration: trials, experiments, and CSV emission.
 
-A trial runs the full two-way exchange once: reverse training (optionally
-contaminated), transmitter-side estimation, null-space jamming design,
-forward training, and estimation at both receivers.  It computes only what
-the two NMSE values depend on: the receivers' least-squares pilot
-correlations (which the whitening-rotation estimate equals, see
-estimators), one eigh at the transmitter for the blind scheme and one QR
-for the jamming basis.  Experiments sweep one dimension (SNR, forward
-training length, or attack power), solve the power allocation per sweep
-point, and aggregate per-trial NMSE values with exact summation so
-results are independent of trial ordering and worker count.
+Two implementations of a trial share one law.  run_trial is the literal
+reference: it synthesises every reverse and forward signal of the
+two-way exchange (reverse training, optionally contaminated,
+transmitter-side estimation, null-space jamming design, forward
+training, estimation at both receivers) and returns the (lr, ur) NMSE
+pair.  run_experiment runs a sufficient-statistic engine instead: the
+NMSE values depend on a trial only through the channels, the noises and
+jamming projected onto the pilot rows, and the Wishart Gram of the
+noise-only reverse rows, so it draws those small matrices, whose size
+depends on neither training length, and computes the transmitter's
+jamming basis and both receivers' errors once for a pass of up to 256
+trials.  The two agree in distribution, not draw for draw.
+
+Experiments sweep one dimension (SNR, forward training length, or attack
+power), solve the power allocation per sweep point, and aggregate
+per-trial NMSE values with exact summation, so results are independent
+of trial ordering and worker count.
 
 Randomness: trial i of sweep point s uses the stream
-(master_seed, s * 2**32 + i), with one substream per drawn quantity, so
-schemes compared under the same master seed share channel and noise
-realizations draw-for-draw.
+(master_seed, s * 2**32 + i), in both implementations.  Draws every
+scheme consumes come from one substream in a fixed order, so schemes
+compared under the same master seed share channel and noise
+realizations; only variant-specific draws (random reverse pilots in
+run_trial, the attacker's) come from substreams of their own.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -30,8 +40,8 @@ import numpy as np
 from . import analysis
 from .attack import AttackScenario, contaminate_reverse
 from .channel import SystemConfig, sample_channels
-from .errors import InfeasibleConfigError
-from .estimators import blind_whitening_tx, lmmse_downlink, lmmse_uplink, pilot_correlation
+from .errors import DimensionError, InfeasibleConfigError, NumericalError
+from .estimators import blind_whitening_tx, lmmse_downlink, lmmse_uplink, pilot_correlation, shrinkage
 from .linalg import RngStream, complex_gaussian
 from .power_allocation import PowerAllocation, PowerAllocationProblem, solve
 from .training import build_an_basis, build_forward_signal, build_reverse_signal
@@ -167,14 +177,171 @@ def run_trial(
     )
 
 
-def _trial_chunk(args) -> list[tuple[int, float, float]]:
+# Trials per vectorised pass of the engine, so its working memory does
+# not grow with the trial count.
+_PASS = 256
+
+
+def _trial_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (lr, ur) NMSE arrays of the given trial ids of one sweep point."""
     cfg, allocation, scheme, attack, master_seed, base_id, indices = args
-    out = []
-    for i in indices:
-        stream = RngStream(master_seed, base_id + i)
-        lr, ur = run_trial(cfg, allocation, scheme, attack, stream)
-        out.append((i, lr, ur))
+    if attack.mode == "known_pilot" and scheme != "lmmse":
+        raise ValueError("known_pilot attack requires the fixed-pilot scheme: random pilots cannot be replayed")
+    if attack.mode != "none" and scheme != "wr_perfect_csi" and cfg.n_u != cfg.n_l:
+        raise DimensionError(
+            f"pilot injection needs n_u == n_l to mirror the pilot shape, got n_u={cfg.n_u}, n_l={cfg.n_l}"
+        )
+    parts = [
+        _engine_pass(cfg, allocation, scheme, attack, master_seed, base_id, indices[start : start + _PASS])
+        for start in range(0, len(indices), _PASS)
+    ]
+    return np.concatenate([lr for lr, _ in parts]), np.concatenate([ur for _, ur in parts])
+
+
+def _wishart_draws(dim: int, dof: int) -> tuple[int, np.ndarray]:
+    """Complex draws and gamma shapes behind _wishart_factor(dim, dof)."""
+    if dof <= dim:
+        return dim * dof, np.empty(0)
+    return dim * (dim - 1) // 2, dof - np.arange(dim, dtype=float)
+
+
+def _wishart_factor(flat: np.ndarray, gammas: np.ndarray, dim: int, dof: int) -> np.ndarray:
+    """Stack of dim x min(dim, dof) factors F with F F^H ~ complex Wishart_dim(dof, I).
+
+    Up to dim degrees of freedom F is the direct draw; beyond, it is the
+    Bartlett factor (Goodman 1963): lower triangular, CN(0, 1) below the
+    diagonal and sqrt(Gamma(dof - j)) on diagonal entry j.
+    """
+    if dof <= dim:
+        return flat.reshape(len(flat), dim, dof)
+    flat = flat.reshape(len(flat), -1)
+    out = np.zeros((len(flat), dim, dim), dtype=complex)
+    out[:, *np.tril_indices(dim, -1)] = flat
+    out[:, *np.diag_indices(dim)] = np.sqrt(gammas)
     return out
+
+
+def _draws(
+    master_seed: int, stream_ids: range, substream: int, shapes: list[tuple[int, int]], gamma_shapes: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Stacks of unit CN(0, 1) matrices of the given shapes, then Gamma draws, from each trial's substream."""
+    normal = np.empty((len(stream_ids), sum(r * c for r, c in shapes)), dtype=complex)
+    gamma = np.empty((len(stream_ids), gamma_shapes.size))
+    for row, stream_id in enumerate(stream_ids):
+        rng = RngStream(master_seed, stream_id).substream(substream)
+        normal[row : row + 1] = complex_gaussian(rng, 1, normal.shape[1], 1.0)
+        if gamma_shapes.size:
+            gamma[row] = rng.standard_gamma(gamma_shapes)
+    stacks, start = [], 0
+    for rows, cols in shapes:
+        stacks.append(normal[:, start : start + rows * cols].reshape(len(normal), rows, cols))
+        start += rows * cols
+    return stacks, gamma
+
+
+def _require_finite(values: np.ndarray, what: str, master_seed: int, base_id: int, ids: range) -> None:
+    finite = np.isfinite(values).reshape(len(ids), -1).all(axis=1)
+    if not finite.all():
+        trial = ids[int(np.argmin(finite))]
+        raise NumericalError(
+            f"non-finite {what} in trial {trial} of sweep point {base_id >> 32} (master seed {master_seed})"
+        )
+
+
+def _engine_pass(
+    cfg: SystemConfig,
+    alloc: PowerAllocation,
+    scheme: str,
+    attack: AttackScenario,
+    master_seed: int,
+    base_id: int,
+    ids: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """run_trial's (lr, ur) law for a pass of trials, from sufficient statistics only.
+
+    With c0 the reverse pilot rows and c1 the forward ones, nothing in a
+    trial depends on the training lengths except through projections:
+    the forward error at a receiver is (H N A c1^H + E1 c1^H) / sqrt(x),
+    and the transmitter sees the reverse observation through its
+    projection onto c0, onto the k rows the guessed pilots add, and
+    through the Wishart Gram of the noise-only remainder.  Each trial
+    draws those projections, which are i.i.d. Gaussian, from its own
+    stream; the transmitter basis and both errors are then computed for
+    the whole pass at once.
+    """
+    n_t, n_l, n_u = cfg.n_t, cfg.n_l, cfg.n_u
+    k = min(n_l, cfg.t0 - n_l)  # reverse rows the guessed pilots add beyond c0
+    rest = cfg.t0 - n_l - k  # noise-only reverse rows
+    attacked = scheme != "wr_perfect_csi" and attack.mode != "none" and attack.p0_bar > 0
+    guess = attacked and attack.mode == "guess"
+    stream_ids = range(base_id + ids.start, base_id + ids.stop)
+
+    # H, G, A c1^H, E1 c1^H, F1 c1^H, E0 c0^H; then, for the blind
+    # transmitter only, E0 on the k added rows and the remainder's factor
+    shapes = [(n_l, n_t), (n_u, n_t), (n_t - n_l, n_t), (n_l, n_t), (n_u, n_t), (n_t, n_l)]
+    gamma_shapes = np.empty(0)
+    if scheme == "wr":
+        size, gamma_shapes = _wishart_draws(n_t, rest)
+        shapes += [(n_t, k), (1, size)]
+    (h, g, an, e1, f1, z1, *blind), rest_gamma = _draws(master_seed, stream_ids, _MAIN, shapes, gamma_shapes)
+    h = math.sqrt(cfg.sigma_h_sq) * h
+    g = math.sqrt(cfg.sigma_g_sq) * g
+
+    # transmitter: reverse statistics per unit pilot energy a = p0 t0 / n_l
+    if scheme == "wr_perfect_csi":
+        tx = h.mT
+    else:
+        noise = math.sqrt(cfg.sigma0_sq * n_l / (alloc.p0 * cfg.t0))
+        # the attack's part of the statistics on c0 and on the k added rows
+        contamination = np.zeros((1, n_t, n_l + k))
+        if attacked:
+            # f0 on those rows; for a guess, the coordinates of the guessed
+            # rows before orthonormalisation: on c0, then on the added rows
+            shapes, gamma_shapes = [(n_t, n_l + k)], np.empty(0)
+            if guess:
+                size, gamma_shapes = _wishart_draws(n_l, cfg.t0 - n_l)
+                shapes += [(n_l, n_l), (1, size)]
+            (f0, *pilot), l2_gamma = _draws(master_seed, stream_ids, _ATTACK, shapes, gamma_shapes)
+            if guess:
+                # c0_bar = C^-1 [gamma1 c0 + l2 D] with C the Cholesky factor
+                # of the Gram of [gamma1, l2], as orthonormal_rows builds it
+                both = np.concatenate([pilot[0], _wishart_factor(pilot[1], l2_gamma, n_l, cfg.t0 - n_l)], axis=-1)
+                coords = np.linalg.solve(np.linalg.cholesky(both @ both.conj().mT), both)
+            else:
+                coords = np.eye(n_l, n_l + k)  # a replay sends c0 itself
+            contamination = math.sqrt(attack.p0_bar / alloc.p0) * g.mT @ coords + noise * f0
+        tx = h.mT + noise * z1 + contamination[..., :n_l]
+        if scheme == "wr":
+            added = noise * blind[0] + contamination[..., n_l:]
+            # the remainder carries E0 plus, under an attack, f0
+            remainder = math.sqrt(2.0 if attacked else 1.0) * noise * _wishart_factor(blind[1], rest_gamma, n_t, rest)
+            tx = np.concatenate([tx, added, remainder], axis=-1)
+    _require_finite(tx, "reverse-phase statistic", master_seed, base_id, ids)
+    if scheme == "wr":
+        # bottom eigenvectors of the reverse autocorrelation: the complement
+        # of blind_whitening_tx's top n_l, the span build_an_basis returns
+        basis = np.linalg.eigh(tx @ tx.conj().mT)[1][..., : n_t - n_l].conj()
+    else:
+        basis = build_an_basis(tx)
+
+    # forward phase: least-squares errors at both receivers
+    x = alloc.p1 * cfg.t1 / n_t
+    an = math.sqrt(alloc.sigma_a_sq) * (basis @ an)
+    err_h = (h @ an + math.sqrt(cfg.sigma0_sq) * e1) / math.sqrt(x)
+    err_g = (g @ an + math.sqrt(cfg.sigma0_sq) * f1) / math.sqrt(x)
+    if scheme == "lmmse":
+        alpha_h = shrinkage(cfg.sigma_h_sq, x, cfg.sigma0_sq)
+        alpha_g = shrinkage(cfg.sigma_g_sq, x, cfg.sigma0_sq)
+        err_h = alpha_h * err_h + (alpha_h - 1.0) * h
+        err_g = alpha_g * err_g + (alpha_g - 1.0) * g
+    nmse = np.stack([_sq_norm(err_h) / (n_l * n_t), _sq_norm(err_g) / (n_u * n_t)], axis=1)
+    _require_finite(nmse, "NMSE", master_seed, base_id, ids)
+    return nmse[:, 0], nmse[:, 1]
+
+
+def _sq_norm(stack: np.ndarray) -> np.ndarray:
+    flat = stack.reshape(len(stack), -1)
+    return (flat.real**2 + flat.imag**2).sum(axis=1)
 
 
 def _closed_forms(
@@ -260,11 +427,9 @@ def _run_point(
          range(start, min(start + chunk, spec.trials)))
         for start in range(0, spec.trials, chunk)
     ]
-    lr_vals = [0.0] * spec.trials
-    ur_vals = [0.0] * spec.trials
-    for part in (pool.map if pool else map)(_trial_chunk, jobs):
-        for i, lr, ur in part:
-            lr_vals[i], ur_vals[i] = lr, ur
+    parts = list((pool.map if pool else map)(_trial_chunk, jobs))
+    lr_vals = np.concatenate([lr for lr, _ in parts])
+    ur_vals = np.concatenate([ur for _, ur in parts])
 
     lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
     return ResultRow(
@@ -298,7 +463,10 @@ def emit_csv(rows: list[ResultRow], path: str | os.PathLike) -> None:
     """Write rows with the fixed header; decimal notation, >= 6 significant digits.
 
     Values round-trip exactly (shortest-unique decimal expansions), and
-    identical row lists produce byte-identical files.
+    identical row lists produce byte-identical files.  An existing file is
+    overwritten in place and then cut to the new length, which is much
+    cheaper on some file systems than truncating it on open; only regular
+    files are cut, so a path such as /dev/stdout works too.
     """
     lines = [CSV_HEADER]
     for r in rows:
@@ -321,8 +489,10 @@ def emit_csv(rows: list[ResultRow], path: str | os.PathLike) -> None:
             )
         )
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

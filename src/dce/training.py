@@ -75,21 +75,22 @@ def build_an_basis(uplink_estimate: np.ndarray) -> np.ndarray:
 
     Given an n_t x n_l uplink estimate (of H^T or of its whitening factor),
     returns an n_t x (n_t - n_l) matrix N with orthonormal columns and
-    N^T @ uplink_estimate = 0.  The orthogonality is bilinear, not
-    Hermitian: the downlink product H @ N = (N^T H^T)^T then vanishes for
-    an exact estimate, which is what makes the jamming invisible at the
-    legitimate receiver.  Construction: the last n_t - n_l columns of the
+    N^T @ uplink_estimate = 0; a stack of estimates gives the stack of
+    bases.  The orthogonality is bilinear, not Hermitian: the downlink
+    product H @ N = (N^T H^T)^T then vanishes for an exact estimate,
+    which is what makes the jamming invisible at the legitimate
+    receiver.  Construction: the last n_t - n_l columns of the
     complete QR factor Q of the estimate span its Hermitian orthogonal
     complement; conjugating them turns that into the bilinear one.
     """
     est = np.asarray(uplink_estimate, dtype=complex)
-    n_t, n_l = est.shape
+    n_t, n_l = est.shape[-2:]
     if n_t <= n_l:
         raise DimensionError(f"no null space: estimate is {n_t}x{n_l}")
     if not np.all(np.isfinite(est)):
         raise NumericalError(f"uplink estimate of shape {est.shape} contains non-finite entries")
     q, _ = np.linalg.qr(est, mode="complete")
-    return q[:, n_l:].conj()
+    return q[..., n_l:].conj()
 
 
 def build_forward_signal(

@@ -35,6 +35,23 @@ def test_zero_wiretap_variance_exit_2(command, tmp_path, capsys):
     assert "infeasible configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("power-alloc", {"sigma_g_sq": 1e308}),
+        ("simulate", {"sigma_g_sq": 1e308}),
+        ("simulate", {"sigma_h_sq": float("inf")}),
+    ],
+)
+def test_non_finite_values_exit_4(command, config, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))  # writes Infinity, which json reads back
+    extra = ["--trials", "5", "--out", str(tmp_path / "x.csv")] if command == "simulate" else []
+    assert main([command, "--snr-db", "20", "--config", str(cfg_path), *extra]) == 4
+    assert "numerical failure: non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_closed_form_with_attack(capsys):
     assert main(["closed-form", "--gamma", "0.03", "--snr-db", "20", "--p0-bar", "1.0"]) == 0
     out = capsys.readouterr().out

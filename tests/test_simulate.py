@@ -1,20 +1,27 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dce import (
     AttackScenario,
     ExperimentSpec,
     PowerAllocation,
+    PowerAllocationProblem,
     RngStream,
     SystemConfig,
     emit_csv,
     read_csv,
     run_experiment,
     run_trial,
+    snr_to_sigma0_sq,
+    solve,
 )
 from dce import simulate
+from dce.errors import DimensionError, NumericalError
 from dce.simulate import CSV_HEADER, ResultRow
 
 from conftest import make_cfg
@@ -194,3 +201,123 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_write_failure_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         emit_csv([], tmp_path / "no_such_dir" / "x.csv")
+
+
+def test_csv_rewrite_with_shorter_rows_leaves_only_new_bytes(tmp_path):
+    long_rows = [ResultRow(float(v), "wr", "none", 0.5, 0.25, 1.0, 1e-3, 1e-3, 0.03, 0.03, 100, 7) for v in range(20)]
+    short_rows = long_rows[:1]
+    path, fresh = tmp_path / "rows.csv", tmp_path / "fresh.csv"
+    emit_csv(long_rows, path)
+    emit_csv(short_rows, path)
+    emit_csv(short_rows, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert read_csv(path) == short_rows
+
+
+def test_csv_to_devnull():
+    emit_csv([ResultRow(20.0, "wr", "none", 0.5, 0.25, 1.0, 1e-3, 1e-3, 0.03, 0.03, 100, 7)], os.devnull)
+
+
+# The engine behind run_experiment (simulate._trial_chunk) draws only the
+# sufficient statistics of a trial; run_trial synthesises every signal.
+ENGINE_CASES = [
+    ("wr", AttackScenario()),
+    ("lmmse", AttackScenario()),
+    ("wr_perfect_csi", AttackScenario()),
+    ("lmmse", AttackScenario("known_pilot", 1.0)),
+    ("wr", AttackScenario("guess", 0.1)),
+    ("wr", AttackScenario("guess", 1.0)),
+    ("lmmse", AttackScenario("guess", 0.5)),
+]
+ENGINE_IDS = [f"{scheme}-{attack.mode}-{attack.p0_bar:g}" for scheme, attack in ENGINE_CASES]
+
+
+def engine(cfg, alloc, scheme, attack, seed, ids, sweep_index=0):
+    return simulate._trial_chunk((cfg, alloc, scheme, attack, seed, sweep_index * 2**32, ids))
+
+
+@pytest.mark.parametrize("t0", [3, 5, 140])  # n_l + 1, 2 n_l + 1, the default
+@pytest.mark.parametrize("scheme,attack", ENGINE_CASES, ids=ENGINE_IDS)
+def test_engine_matches_run_trial_in_distribution(scheme, attack, t0):
+    trials = 2000
+    for snr_db in (5.0, 25.0):
+        cfg = make_cfg(t0=t0, sigma0_sq=snr_to_sigma0_sq(snr_db))
+        alloc = solve(PowerAllocationProblem(cfg))
+        fast = np.stack(engine(cfg, alloc, scheme, attack, 31, range(trials)), axis=1)
+        ref = np.array([run_trial(cfg, alloc, scheme, attack, RngStream(32, i)) for i in range(trials)])
+        se = np.sqrt((fast.var(axis=0) + ref.var(axis=0)) / trials)
+        gap = np.abs(fast.mean(axis=0) - ref.mean(axis=0)) / se
+        assert np.all(gap <= 4.0), f"{snr_db} dB: (lr, ur) mean gaps {gap} standard errors"
+
+
+@pytest.mark.parametrize("attack", [AttackScenario(), AttackScenario("known_pilot", 1.0)], ids=["none", "replay"])
+def test_engine_lmmse_shrinkage_in_distribution(attack):
+    # a tenth of the allocated forward power makes the LMMSE shrinkage
+    # bias a tenth of the LR error, well beyond the Monte Carlo noise
+    trials = 2000
+    cfg = make_cfg(sigma0_sq=snr_to_sigma0_sq(5.0))
+    alloc = solve(PowerAllocationProblem(cfg))
+    alloc = dataclasses.replace(alloc, p1=alloc.p1 / 10)
+    fast = np.stack(engine(cfg, alloc, "lmmse", attack, 33, range(trials)), axis=1)
+    ref = np.array([run_trial(cfg, alloc, "lmmse", attack, RngStream(34, i)) for i in range(trials)])
+    se = np.sqrt((fast.var(axis=0) + ref.var(axis=0)) / trials)
+    gap = np.abs(fast.mean(axis=0) - ref.mean(axis=0)) / se
+    assert np.all(gap <= 4.0), f"(lr, ur) mean gaps {gap} standard errors"
+
+
+@pytest.mark.parametrize("scheme", ["wr", "wr_perfect_csi"])
+def test_engine_noise_free_lr_exact_with_an(scheme):
+    cfg = make_cfg(sigma0_sq=0.0)
+    lr, ur = engine(cfg, noise_free_alloc(0.25), scheme, AttackScenario(), 12, range(300))
+    assert lr.max() <= 1e-16
+    assert ur.min() > 0  # the jamming still reaches the eavesdropper
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_t=st.integers(2, 8),
+    data=st.data(),
+    scheme=st.sampled_from(["wr", "wr_perfect_csi"]),
+)
+def test_engine_noise_free_lr_exact_any_shape(n_t, data, scheme):
+    n_l = data.draw(st.integers(1, n_t - 1), label="n_l")
+    cfg = make_cfg(n_t=n_t, n_l=n_l, n_u=n_l, t0=n_l, t1=n_t, sigma0_sq=0.0)
+    alloc = PowerAllocation(x=0.5 * cfg.t1 / n_t, y=0.5, z=1.0, p1=0.5,
+                            sigma_a_sq=0.5 / (n_t - n_l), p0=1.0, objective=0.0)
+    lr, _ = engine(cfg, alloc, scheme, AttackScenario(), 13, range(50))
+    assert lr.max() <= 1e-16
+
+
+@pytest.mark.parametrize("scheme,attack", ENGINE_CASES, ids=ENGINE_IDS)
+def test_engine_values_independent_of_the_split(scheme, attack):
+    alloc = solve(PowerAllocationProblem(CFG))
+    whole = engine(CFG, alloc, scheme, attack, 14, range(600), sweep_index=2)
+    cuts = (0, 1, 257, 258, 600)
+    parts = [engine(CFG, alloc, scheme, attack, 14, range(a, b), sweep_index=2) for a, b in zip(cuts, cuts[1:])]
+    for i in range(2):
+        assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+
+
+def test_engine_silent_attacker_is_the_clean_trial():
+    alloc = solve(PowerAllocationProblem(CFG))
+    clean = engine(CFG, alloc, "wr", AttackScenario(), 15, range(50))
+    silent = engine(CFG, alloc, "wr", AttackScenario("guess", 0.0), 15, range(50))
+    assert all(np.array_equal(a, b) for a, b in zip(clean, silent))
+
+
+def test_experiment_keeps_typed_attack_errors():
+    with pytest.raises(ValueError, match="known_pilot"):
+        run_experiment(ExperimentSpec(cfg=CFG, scheme="wr", attack=AttackScenario("known_pilot", 1.0), trials=2))
+    with pytest.raises(DimensionError):
+        run_experiment(
+            ExperimentSpec(cfg=make_cfg(n_u=3), scheme="lmmse", attack=AttackScenario("guess", 1.0), trials=2)
+        )
+
+
+def test_experiment_names_the_trial_of_a_non_finite_value():
+    # -10 dB is infeasible and skipped, so sweep point 1 is the first to run
+    spec = ExperimentSpec(
+        cfg=make_cfg(sigma_h_sq=float("inf")), scheme="lmmse", snr_db_grid=(-10.0, 20.0), trials=5, master_seed=7
+    )
+    with pytest.raises(NumericalError, match=r"trial 0 of sweep point 1 \(master seed 7\)"):
+        run_experiment(spec)
