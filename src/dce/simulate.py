@@ -1,22 +1,25 @@
 """Monte Carlo orchestration: trials, experiments, and CSV emission.
 
-Two implementations of a trial share one law.  run_trial is the literal
-reference: it synthesises every reverse and forward signal of the
-two-way exchange (reverse training, optionally contaminated,
-transmitter-side estimation, null-space jamming design, forward
-training, estimation at both receivers) and returns the (lr, ur) NMSE
-pair.  run_experiment runs a sufficient-statistic engine instead: the
-NMSE values depend on a trial only through the channels, the noises and
-jamming projected onto the pilot rows, and the Wishart Gram of the
-noise-only reverse rows, so it draws those small matrices, whose size
-depends on neither training length, and computes the transmitter's
-jamming basis and both receivers' errors once for a pass of up to 256
-trials.  The two agree in distribution, not draw for draw.
+run_trial is the literal reference: it synthesises every reverse and
+forward signal of the two-way exchange (reverse training, optionally
+contaminated, transmitter-side estimation, null-space jamming design,
+forward training, estimation at both receivers) and returns the
+(lr, ur) NMSE pair.  run_experiment runs a sufficient-statistic engine
+instead, in two stages.  _draw_statistics is its law: the NMSE values
+depend on a trial only through the channels, the noises and jamming
+projected onto the pilot rows, and the Wishart Gram of the noise-only
+reverse rows, so it draws those small matrices, whose size depends on
+neither training length.  _evaluate, a pure function, computes the
+transmitter's jamming basis and both receivers' errors from them for a
+pass of trials at once.  Fed run_trial's own draws so projected, it
+returns run_trial's values; the two implementations differ in how they
+draw, so their outputs agree in distribution, not draw for draw.
 
-Experiments sweep one dimension (SNR, forward training length, or attack
-power), solve the power allocation per sweep point, and aggregate
-per-trial NMSE values with exact summation, so results are independent
-of trial ordering and worker count.
+An experiment solves the power allocation of every sweep point (SNR,
+forward training length, or attack power), maps one list of jobs of at
+most _PASS trials over all points, and sums each point's per-trial NMSE
+values exactly, so results are independent of job order and worker
+count.
 
 Randomness: trial i of sweep point s uses the stream
 (master_seed, s * 2**32 + i), in both implementations.  Draws every
@@ -92,6 +95,13 @@ class ExperimentSpec:
             raise ValueError("at most one of t1_grid / p0_bar_grid may be active")
         if active and len(self.snr_db_grid) != 1:
             raise ValueError("secondary sweeps need a single SNR point")
+        if self.attack.mode == "known_pilot" and self.scheme != "lmmse":
+            raise ValueError("known_pilot attack requires the fixed-pilot scheme: random pilots cannot be replayed")
+        n_u, n_l = self.cfg.n_u, self.cfg.n_l
+        if self.attack.mode != "none" and self.scheme != "wr_perfect_csi" and n_u != n_l:
+            raise DimensionError(
+                f"pilot injection needs n_u == n_l to mirror the pilot shape, got n_u={n_u}, n_l={n_l}"
+            )
 
     def sweep(self) -> list[tuple[str, float]]:
         """(kind, value) pairs of the active sweep dimension."""
@@ -177,25 +187,39 @@ def run_trial(
     )
 
 
-# Trials per vectorised pass of the engine, so its working memory does
-# not grow with the trial count.
+# Trials per job: a job is one vectorised pass over consecutive trials
+# of one sweep point, so memory does not grow with the trial count and
+# the job list does not depend on the worker count.
 _PASS = 256
 
 
-def _trial_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (lr, ur) NMSE arrays of the given trial ids of one sweep point."""
-    cfg, allocation, scheme, attack, master_seed, base_id, indices = args
-    if attack.mode == "known_pilot" and scheme != "lmmse":
-        raise ValueError("known_pilot attack requires the fixed-pilot scheme: random pilots cannot be replayed")
-    if attack.mode != "none" and scheme != "wr_perfect_csi" and cfg.n_u != cfg.n_l:
-        raise DimensionError(
-            f"pilot injection needs n_u == n_l to mirror the pilot shape, got n_u={cfg.n_u}, n_l={cfg.n_l}"
-        )
-    parts = [
-        _engine_pass(cfg, allocation, scheme, attack, master_seed, base_id, indices[start : start + _PASS])
-        for start in range(0, len(indices), _PASS)
-    ]
-    return np.concatenate([lr for lr, _ in parts]), np.concatenate([ur for _, ur in parts])
+def _job(args) -> np.ndarray:
+    """(trials, 2) per-trial (lr, ur) NMSE values of a range of streams of one sweep point."""
+    cfg, allocation, scheme, attack, master_seed, stream_ids = args
+    stats = _draw_statistics(cfg, scheme, attack, master_seed, stream_ids)
+    return _evaluate(cfg, allocation, scheme, attack, stats)
+
+
+@dataclass(frozen=True)
+class _Statistics:
+    """What a pass of trials depends on, stacked over trials; each signal over its standard deviation.
+
+    c0 are the reverse pilot rows, D the k = min(n_l, t0 - n_l) rows a
+    guessed pilot adds, R the other reverse rows, c1 the forward pilot rows.
+    """
+
+    master_seed: int
+    stream_ids: range  # the trials, to name one in an error
+    h: np.ndarray  # H
+    g: np.ndarray  # G
+    an: np.ndarray  # A c1^H, the jamming in TX basis coordinates
+    e1: np.ndarray  # E1 c1^H, forward noise at the LR
+    f1: np.ndarray  # F1 c1^H, forward noise at the UR
+    z0: np.ndarray  # E0 c0^H, reverse noise
+    added: np.ndarray | None = None  # blind TX: E0 D^H
+    remainder: np.ndarray | None = None  # blind TX: W W^H = E0 R^H R E0^H; of E0 + F0, halved, if attacked
+    f0: np.ndarray | None = None  # active attack: F0 [c0; D]^H, its second front-end noise
+    coords: np.ndarray | None = None  # active attack: c0_bar [c0; D]^H, its pilot rows
 
 
 def _wishart_draws(dim: int, dof: int) -> tuple[int, np.ndarray]:
@@ -225,118 +249,120 @@ def _draws(
     master_seed: int, stream_ids: range, substream: int, shapes: list[tuple[int, int]], gamma_shapes: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Stacks of unit CN(0, 1) matrices of the given shapes, then Gamma draws, from each trial's substream."""
-    normal = np.empty((len(stream_ids), sum(r * c for r, c in shapes)), dtype=complex)
+    sizes = [rows * cols for rows, cols in shapes]
+    normal = np.empty((len(stream_ids), sum(sizes)), dtype=complex)
     gamma = np.empty((len(stream_ids), gamma_shapes.size))
     for row, stream_id in enumerate(stream_ids):
         rng = RngStream(master_seed, stream_id).substream(substream)
         normal[row : row + 1] = complex_gaussian(rng, 1, normal.shape[1], 1.0)
         if gamma_shapes.size:
             gamma[row] = rng.standard_gamma(gamma_shapes)
-    stacks, start = [], 0
-    for rows, cols in shapes:
-        stacks.append(normal[:, start : start + rows * cols].reshape(len(normal), rows, cols))
-        start += rows * cols
-    return stacks, gamma
+    parts = np.split(normal, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape(len(normal), *shape) for part, shape in zip(parts, shapes)], gamma
 
 
-def _require_finite(values: np.ndarray, what: str, master_seed: int, base_id: int, ids: range) -> None:
-    finite = np.isfinite(values).reshape(len(ids), -1).all(axis=1)
-    if not finite.all():
-        trial = ids[int(np.argmin(finite))]
-        raise NumericalError(
-            f"non-finite {what} in trial {trial} of sweep point {base_id >> 32} (master seed {master_seed})"
-        )
+def _draw_statistics(
+    cfg: SystemConfig, scheme: str, attack: AttackScenario, master_seed: int, stream_ids: range
+) -> _Statistics:
+    """The engine's law: each trial's _Statistics, from _MAIN in one order for every scheme, then _ATTACK.
 
-
-def _engine_pass(
-    cfg: SystemConfig,
-    alloc: PowerAllocation,
-    scheme: str,
-    attack: AttackScenario,
-    master_seed: int,
-    base_id: int,
-    ids: range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """run_trial's (lr, ur) law for a pass of trials, from sufficient statistics only.
-
-    With c0 the reverse pilot rows and c1 the forward ones, nothing in a
-    trial depends on the training lengths except through projections:
-    the forward error at a receiver is (H N A c1^H + E1 c1^H) / sqrt(x),
-    and the transmitter sees the reverse observation through its
-    projection onto c0, onto the k rows the guessed pilots add, and
-    through the Wishart Gram of the noise-only remainder.  Each trial
-    draws those projections, which are i.i.d. Gaussian, from its own
-    stream; the transmitter basis and both errors are then computed for
-    the whole pass at once.
+    The projections are i.i.d. CN(0, 1); the noise-only rows' Gram comes
+    as its Wishart factor, and a guessed pilot as its coordinates.
     """
     n_t, n_l, n_u = cfg.n_t, cfg.n_l, cfg.n_u
-    k = min(n_l, cfg.t0 - n_l)  # reverse rows the guessed pilots add beyond c0
-    rest = cfg.t0 - n_l - k  # noise-only reverse rows
-    attacked = scheme != "wr_perfect_csi" and attack.mode != "none" and attack.p0_bar > 0
-    guess = attacked and attack.mode == "guess"
-    stream_ids = range(base_id + ids.start, base_id + ids.stop)
-
-    # H, G, A c1^H, E1 c1^H, F1 c1^H, E0 c0^H; then, for the blind
-    # transmitter only, E0 on the k added rows and the remainder's factor
+    k = min(n_l, cfg.t0 - n_l)
+    rest = cfg.t0 - n_l - k
     shapes = [(n_l, n_t), (n_u, n_t), (n_t - n_l, n_t), (n_l, n_t), (n_u, n_t), (n_t, n_l)]
     gamma_shapes = np.empty(0)
     if scheme == "wr":
         size, gamma_shapes = _wishart_draws(n_t, rest)
         shapes += [(n_t, k), (1, size)]
-    (h, g, an, e1, f1, z1, *blind), rest_gamma = _draws(master_seed, stream_ids, _MAIN, shapes, gamma_shapes)
-    h = math.sqrt(cfg.sigma_h_sq) * h
-    g = math.sqrt(cfg.sigma_g_sq) * g
+    (h, g, an, e1, f1, z0, *blind), rest_gamma = _draws(master_seed, stream_ids, _MAIN, shapes, gamma_shapes)
+    added = remainder = f0 = coords = None
+    if scheme == "wr":
+        added, remainder = blind[0], _wishart_factor(blind[1], rest_gamma, n_t, rest)
+    if scheme != "wr_perfect_csi" and attack.mode != "none" and attack.p0_bar > 0:
+        shapes, gamma_shapes = [(n_t, n_l + k)], np.empty(0)
+        if attack.mode == "guess":
+            size, gamma_shapes = _wishart_draws(n_l, cfg.t0 - n_l)
+            shapes += [(n_l, n_l), (1, size)]
+        (f0, *pilot), l2_gamma = _draws(master_seed, stream_ids, _ATTACK, shapes, gamma_shapes)
+        if attack.mode == "guess":
+            # c0_bar = C^-1 [gamma1 c0 + l2 D] with C the Cholesky factor
+            # of the Gram of [gamma1, l2], as orthonormal_rows builds it
+            both = np.concatenate([pilot[0], _wishart_factor(pilot[1], l2_gamma, n_l, cfg.t0 - n_l)], axis=-1)
+            coords = np.linalg.solve(np.linalg.cholesky(both @ both.conj().mT), both)
+        else:
+            coords = np.eye(n_l, n_l + k)  # a replay sends c0 itself
+    return _Statistics(master_seed, stream_ids, h, g, an, e1, f1, z0, added, remainder, f0, coords)
 
-    # transmitter: reverse statistics per unit pilot energy a = p0 t0 / n_l
+
+def _require_finite(values: np.ndarray, what: str, stats: _Statistics) -> None:
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        stream_id = stats.stream_ids[int(np.argmin(finite))]
+        raise NumericalError(
+            f"non-finite {what} in trial {stream_id % 2**32} of sweep point {stream_id >> 32}"
+            f" (master seed {stats.master_seed})"
+        )
+
+
+def _tx_basis(
+    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, attack: AttackScenario, stats: _Statistics
+) -> np.ndarray:
+    """Stack of the TX's jamming bases, from the reverse statistics per unit pilot energy a = p0 t0 / n_l.
+
+    The TX sees the reverse observation through its projections onto c0
+    and onto the k added rows, and through the Gram of the rest.
+    """
+    n_t, n_l = cfg.n_t, cfg.n_l
+    h = math.sqrt(cfg.sigma_h_sq) * stats.h
     if scheme == "wr_perfect_csi":
         tx = h.mT
     else:
         noise = math.sqrt(cfg.sigma0_sq * n_l / (alloc.p0 * cfg.t0))
         # the attack's part of the statistics on c0 and on the k added rows
-        contamination = np.zeros((1, n_t, n_l + k))
-        if attacked:
-            # f0 on those rows; for a guess, the coordinates of the guessed
-            # rows before orthonormalisation: on c0, then on the added rows
-            shapes, gamma_shapes = [(n_t, n_l + k)], np.empty(0)
-            if guess:
-                size, gamma_shapes = _wishart_draws(n_l, cfg.t0 - n_l)
-                shapes += [(n_l, n_l), (1, size)]
-            (f0, *pilot), l2_gamma = _draws(master_seed, stream_ids, _ATTACK, shapes, gamma_shapes)
-            if guess:
-                # c0_bar = C^-1 [gamma1 c0 + l2 D] with C the Cholesky factor
-                # of the Gram of [gamma1, l2], as orthonormal_rows builds it
-                both = np.concatenate([pilot[0], _wishart_factor(pilot[1], l2_gamma, n_l, cfg.t0 - n_l)], axis=-1)
-                coords = np.linalg.solve(np.linalg.cholesky(both @ both.conj().mT), both)
-            else:
-                coords = np.eye(n_l, n_l + k)  # a replay sends c0 itself
-            contamination = math.sqrt(attack.p0_bar / alloc.p0) * g.mT @ coords + noise * f0
-        tx = h.mT + noise * z1 + contamination[..., :n_l]
+        contamination = np.zeros((1, n_t, n_l + min(n_l, cfg.t0 - n_l)))
+        if stats.f0 is not None:
+            g = math.sqrt(cfg.sigma_g_sq) * stats.g
+            contamination = math.sqrt(attack.p0_bar / alloc.p0) * g.mT @ stats.coords + noise * stats.f0
+        tx = h.mT + noise * stats.z0 + contamination[..., :n_l]
         if scheme == "wr":
-            added = noise * blind[0] + contamination[..., n_l:]
-            # the remainder carries E0 plus, under an attack, f0
-            remainder = math.sqrt(2.0 if attacked else 1.0) * noise * _wishart_factor(blind[1], rest_gamma, n_t, rest)
+            added = noise * stats.added + contamination[..., n_l:]
+            remainder = math.sqrt(1.0 if stats.f0 is None else 2.0) * noise * stats.remainder
             tx = np.concatenate([tx, added, remainder], axis=-1)
-    _require_finite(tx, "reverse-phase statistic", master_seed, base_id, ids)
+    _require_finite(tx, "reverse-phase statistic", stats)
     if scheme == "wr":
         # bottom eigenvectors of the reverse autocorrelation: the complement
         # of blind_whitening_tx's top n_l, the span build_an_basis returns
-        basis = np.linalg.eigh(tx @ tx.conj().mT)[1][..., : n_t - n_l].conj()
-    else:
-        basis = build_an_basis(tx)
+        return np.linalg.eigh(tx @ tx.conj().mT)[1][..., : n_t - n_l].conj()
+    return build_an_basis(tx)
 
-    # forward phase: least-squares errors at both receivers
-    x = alloc.p1 * cfg.t1 / n_t
-    an = math.sqrt(alloc.sigma_a_sq) * (basis @ an)
-    err_h = (h @ an + math.sqrt(cfg.sigma0_sq) * e1) / math.sqrt(x)
-    err_g = (g @ an + math.sqrt(cfg.sigma0_sq) * f1) / math.sqrt(x)
+
+def _evaluate(
+    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, attack: AttackScenario, stats: _Statistics
+) -> np.ndarray:
+    """(trials, 2) per-trial (lr, ur) NMSE values, a pure function of the statistics.
+
+    The least-squares error at a receiver is (H N A c1^H + E1 c1^H) / sqrt(x),
+    N the TX basis, and the LMMSE estimate shrinks it by alpha.  Given
+    run_trial's own draws so projected, this returns run_trial's values.
+    """
+    basis = _tx_basis(cfg, alloc, scheme, attack, stats)
+    h = math.sqrt(cfg.sigma_h_sq) * stats.h
+    g = math.sqrt(cfg.sigma_g_sq) * stats.g
+    x = alloc.p1 * cfg.t1 / cfg.n_t
+    an = math.sqrt(alloc.sigma_a_sq) * (basis @ stats.an)
+    err_h = (h @ an + math.sqrt(cfg.sigma0_sq) * stats.e1) / math.sqrt(x)
+    err_g = (g @ an + math.sqrt(cfg.sigma0_sq) * stats.f1) / math.sqrt(x)
     if scheme == "lmmse":
         alpha_h = shrinkage(cfg.sigma_h_sq, x, cfg.sigma0_sq)
         alpha_g = shrinkage(cfg.sigma_g_sq, x, cfg.sigma0_sq)
         err_h = alpha_h * err_h + (alpha_h - 1.0) * h
         err_g = alpha_g * err_g + (alpha_g - 1.0) * g
-    nmse = np.stack([_sq_norm(err_h) / (n_l * n_t), _sq_norm(err_g) / (n_u * n_t)], axis=1)
-    _require_finite(nmse, "NMSE", master_seed, base_id, ids)
-    return nmse[:, 0], nmse[:, 1]
+    nmse = np.stack([_sq_norm(err_h) / (cfg.n_l * cfg.n_t), _sq_norm(err_g) / (cfg.n_u * cfg.n_t)], axis=1)
+    _require_finite(nmse, "NMSE", stats)
+    return nmse
 
 
 def _sq_norm(stack: np.ndarray) -> np.ndarray:
@@ -366,86 +392,63 @@ def _closed_forms(
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRow]:
     """Run all sweep points of the spec; bit-reproducible for a given master seed.
 
-    Infeasible sweep points (gamma outside its bounds at that operating
-    point, or no wiretap channel to jam) produce a row with empty value
-    fields and the run continues.
-    Trials run in the same chunks for every worker count: with workers > 1
-    one process pool maps them for every sweep point, with one worker they
-    are mapped in this process.
+    The spec was checked when it was built.  Every sweep point's power
+    allocation is solved first; an infeasible point (gamma outside its
+    bounds there, or no wiretap channel to jam) gives a row with empty
+    value fields and trials=0.  The feasible points' trials are cut into
+    jobs of at most _PASS trials, and the one job list is mapped once: by
+    a pool of `workers` processes when workers > 1, in this process
+    otherwise.  The jobs, and so the rows, do not depend on the worker
+    count.
     """
+    points = [_solve_point(spec, kind, value) for kind, value in spec.sweep()]
+    passes = range(0, spec.trials, _PASS)
+    jobs = []
+    for s, (_, cfg, attack, alloc) in enumerate(points):
+        ids = range(s * 2**32, s * 2**32 + spec.trials)  # trial i of point s has stream s * 2**32 + i
+        if alloc is not None:
+            jobs += [(cfg, alloc, spec.scheme, attack, spec.master_seed, ids[i : i + _PASS]) for i in passes]
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        return [
-            _run_point(spec, sweep_index, kind, value, pool, workers)
-            for sweep_index, (kind, value) in enumerate(spec.sweep())
-        ]
+        results = (pool.map if pool else map)(_job, jobs)
+        rows = []
+        for value, cfg, attack, alloc in points:
+            if alloc is None:  # infeasible: no allocation, no trials
+                rows.append(ResultRow(value, spec.scheme, attack.mode, *[None] * 7, 0, spec.master_seed))
+                continue
+            nmse = np.concatenate([next(results) for _ in passes])
+            lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
+            rows.append(
+                ResultRow(
+                    sweep_value=value,
+                    scheme=spec.scheme,
+                    attack_mode=attack.mode,
+                    p1=alloc.p1,
+                    sigma_a_sq=alloc.sigma_a_sq,
+                    p0=alloc.p0,
+                    nmse_lr_emp=math.fsum(nmse[:, 0]) / spec.trials,
+                    nmse_lr_cf=lr_cf,
+                    nmse_ur_emp=math.fsum(nmse[:, 1]) / spec.trials,
+                    nmse_ur_cf=ur_cf,
+                    trials=spec.trials,
+                    seed=spec.master_seed,
+                )
+            )
+        return rows
 
 
-def _run_point(
-    spec: ExperimentSpec,
-    sweep_index: int,
-    kind: str,
-    value: float,
-    pool: ProcessPoolExecutor | None,
-    workers: int,
-) -> ResultRow:
-    cfg = replace(spec.cfg, gamma=spec.gamma)
-    attack = spec.attack
-    if kind == "snr_db":
-        cfg = replace(cfg, sigma0_sq=analysis.snr_to_sigma0_sq(value))
-    elif kind == "t1":
-        cfg = replace(
-            cfg,
-            t1=int(value),
-            sigma0_sq=analysis.snr_to_sigma0_sq(spec.snr_db_grid[0]),
-        )
-    else:  # p0_bar sweep
-        cfg = replace(cfg, sigma0_sq=analysis.snr_to_sigma0_sq(spec.snr_db_grid[0]))
-        attack = AttackScenario(mode=attack.mode, p0_bar=value)
-
+def _solve_point(
+    spec: ExperimentSpec, kind: str, value: float
+) -> tuple[float, SystemConfig, AttackScenario, PowerAllocation | None]:
+    """(sweep value, config, attack, allocation) of one sweep point; no allocation if infeasible."""
+    snr_db = value if kind == "snr_db" else spec.snr_db_grid[0]
+    cfg = replace(spec.cfg, gamma=spec.gamma, sigma0_sq=analysis.snr_to_sigma0_sq(snr_db))
+    if kind == "t1":
+        cfg = replace(cfg, t1=int(value))
+    attack = AttackScenario(spec.attack.mode, value) if kind == "p0_bar" else spec.attack
     try:
-        alloc = solve(PowerAllocationProblem(cfg))
+        return value, cfg, attack, solve(PowerAllocationProblem(cfg))
     except InfeasibleConfigError:
-        return ResultRow(
-            sweep_value=value,
-            scheme=spec.scheme,
-            attack_mode=attack.mode,
-            p1=None,
-            sigma_a_sq=None,
-            p0=None,
-            nmse_lr_emp=None,
-            nmse_lr_cf=None,
-            nmse_ur_emp=None,
-            nmse_ur_cf=None,
-            trials=0,
-            seed=spec.master_seed,
-        )
-
-    base_id = sweep_index * (2**32)
-    chunk = max(1, math.ceil(spec.trials / (workers * 4)))
-    jobs = [
-        (cfg, alloc, spec.scheme, attack, spec.master_seed, base_id,
-         range(start, min(start + chunk, spec.trials)))
-        for start in range(0, spec.trials, chunk)
-    ]
-    parts = list((pool.map if pool else map)(_trial_chunk, jobs))
-    lr_vals = np.concatenate([lr for lr, _ in parts])
-    ur_vals = np.concatenate([ur for _, ur in parts])
-
-    lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
-    return ResultRow(
-        sweep_value=value,
-        scheme=spec.scheme,
-        attack_mode=attack.mode,
-        p1=alloc.p1,
-        sigma_a_sq=alloc.sigma_a_sq,
-        p0=alloc.p0,
-        nmse_lr_emp=math.fsum(lr_vals) / spec.trials,
-        nmse_lr_cf=lr_cf,
-        nmse_ur_emp=math.fsum(ur_vals) / spec.trials,
-        nmse_ur_cf=ur_cf,
-        trials=spec.trials,
-        seed=spec.master_seed,
-    )
+        return value, cfg, attack, None
 
 
 CSV_HEADER = "sweep,scheme,attack,p1,sigma_a_sq,p0,nmse_lr_emp,nmse_lr_cf,nmse_ur_emp,nmse_ur_cf,trials,seed"

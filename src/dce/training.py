@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
-from .errors import DimensionError, InfeasibleConfigError, NumericalError
+from .errors import DimensionError, NumericalError
 from .linalg import complex_gaussian, orthonormal_rows
 
 __all__ = [
@@ -63,8 +63,6 @@ def build_reverse_signal(
     """
     if p0 <= 0:
         raise ValueError("p0 must be > 0")
-    if cfg.t0 < cfg.n_l:
-        raise InfeasibleConfigError(f"t0={cfg.t0} < n_l={cfg.n_l}")
     c0 = orthonormal_rows(cfg.n_l, cfg.t0, mode=mode, rng=rng)
     s0 = np.sqrt(p0 * cfg.t0 / cfg.n_l) * c0
     return ReverseSignal(s0=s0, c0=c0, p0=p0)
@@ -108,8 +106,6 @@ def build_forward_signal(
         raise ValueError("p1 must be > 0")
     if sigma_a_sq < 0:
         raise ValueError("sigma_a_sq must be >= 0")
-    if cfg.t1 < cfg.n_t:
-        raise InfeasibleConfigError(f"t1={cfg.t1} < n_t={cfg.n_t}")
     c1 = orthonormal_rows(cfg.n_t, cfg.t1, mode="fixed")
     s1_pilot = np.sqrt(p1 * cfg.t1 / cfg.n_t) * c1
     an = complex_gaussian(rng, cfg.n_t - cfg.n_l, cfg.t1, sigma_a_sq)

@@ -122,6 +122,7 @@ def test_experiment_small_fig4c(tmp_path):
 
 def test_usage_error_exit_1():
     assert main(["simulate", "--scheme", "bogus"]) == 1
+    assert main(["simulate", "--attack", "known-pilot", "--trials", "2", "--workers", "2"]) == 1  # wr pilots are private
     assert main(["no-such-command"]) == 1
 
 
