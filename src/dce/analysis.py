@@ -4,7 +4,11 @@ The closed forms are first-order perturbation results: accurate for the
 clean semiblind scheme at moderate-to-high SNR, and increasingly
 optimistic for the attacked scheme as the attack power grows (the
 prediction keeps only pilot/noise cross-correlation terms; see the
-simulation results for the empirical behaviour).
+simulation results for the empirical behaviour).  The clean LR form is
+exact at t0 = n_l: with no reverse rows beyond the pilot's, the blind
+transmitter's jamming basis is the LMMSE transmitter's, and the reverse
+error per unit pilot energy c^2 = sigma0^2 n_l / (p0 t0) shrinks to
+sigma_h^2 c^2 / (sigma_h^2 + c^2).
 """
 
 from __future__ import annotations
@@ -37,11 +41,16 @@ def nmse_lr_closed(cfg: SystemConfig, p0: float, p1: float, sigma_a_sq: float) -
     n_t sigma0^2 / (p1 t1) from forward noise, times (1 + leakage factor)
     where the leakage factor n_l (n_t - n_l) sigma_a^2 / (p0 t0) accounts
     for artificial noise escaping through the imperfect reverse estimate.
+    At t0 = n_l the factor takes the exact shrinkage
+    sigma_h^2 / (sigma_h^2 + c^2), c^2 = sigma0^2 n_l / (p0 t0).
     """
     if p0 <= 0 or p1 <= 0:
         raise ValueError("powers must be > 0")
     base = cfg.n_t * cfg.sigma0_sq / (p1 * cfg.t1)
     leak = cfg.n_l * (cfg.n_t - cfg.n_l) * sigma_a_sq / (p0 * cfg.t0)
+    if cfg.t0 == cfg.n_l and cfg.sigma0_sq > 0:  # a noise-free reverse phase leaves nothing to shrink
+        c_sq = cfg.sigma0_sq * cfg.n_l / (p0 * cfg.t0)
+        leak *= cfg.sigma_h_sq / (cfg.sigma_h_sq + c_sq)
     return base + leak * base
 
 

@@ -17,14 +17,17 @@ draw, so their outputs agree in distribution, not draw for draw.
 
 An experiment solves the power allocation of every sweep point (SNR,
 forward training length, or attack power), maps one list of jobs of at
-most _PASS trials over all points, and sums each point's per-trial NMSE
-values exactly, so results are independent of job order and worker
-count.
+most _PASS trials, and sums each point's per-trial NMSE values exactly,
+so results are independent of job order and worker count.  No sweep
+changes the shape of a statistic: SNR, t1 and p0_bar only scale the
+statistics inside _evaluate.  So a job draws its trials once and
+evaluates them at every sweep point (common random numbers).
 
-Randomness: trial i of sweep point s uses the stream
-(master_seed, s * 2**32 + i), in both implementations.  Draws every
-scheme consumes come from one substream in a fixed order, so schemes
-compared under the same master seed share channel and noise
+Randomness: trial i uses the stream (master_seed, i), at every sweep
+point of run_experiment and in run_trial alike, so the rows of one sweep
+are correlated; independent points need different master seeds.  Draws
+every scheme consumes come from one substream in a fixed order, so
+schemes compared under the same master seed share channel and noise
 realizations; only variant-specific draws (random reverse pilots in
 run_trial, the attacker's) come from substreams of their own.
 """
@@ -187,17 +190,29 @@ def run_trial(
     )
 
 
-# Trials per job: a job is one vectorised pass over consecutive trials
-# of one sweep point, so memory does not grow with the trial count and
-# the job list does not depend on the worker count.
+# Trials per job: a job is one vectorised pass over consecutive trials,
+# drawn once and evaluated at every feasible sweep point, so memory does
+# not grow with the trial count and the job list does not depend on the
+# worker count.
 _PASS = 256
 
 
-def _job(args) -> np.ndarray:
-    """(trials, 2) per-trial (lr, ur) NMSE values of a range of streams of one sweep point."""
-    cfg, allocation, scheme, attack, master_seed, stream_ids = args
-    stats = _draw_statistics(cfg, scheme, attack, master_seed, stream_ids)
-    return _evaluate(cfg, allocation, scheme, attack, stats)
+def _job(args) -> list[np.ndarray]:
+    """(trials, 2) per-trial (lr, ur) NMSE values of a range of streams, one array per given sweep point.
+
+    The points are (index, config, attack, allocation) of one sweep, so
+    they share the shapes of every statistic.  The attacker's draws are
+    made if any point's attacker transmits; a silent point ignores them,
+    so it sees the clean trial.
+    """
+    scheme, points, master_seed, stream_ids = args
+    loudest = max((attack for _, _, attack, _ in points), key=lambda attack: attack.p0_bar)
+    stats = _draw_statistics(points[0][1], scheme, loudest, master_seed, stream_ids)
+    clean = replace(stats, f0=None, coords=None)
+    return [
+        _evaluate(cfg, alloc, scheme, attack, stats if attack.p0_bar > 0 else clean, point)
+        for point, cfg, attack, alloc in points
+    ]
 
 
 @dataclass(frozen=True)
@@ -297,18 +312,17 @@ def _draw_statistics(
     return _Statistics(master_seed, stream_ids, h, g, an, e1, f1, z0, added, remainder, f0, coords)
 
 
-def _require_finite(values: np.ndarray, what: str, stats: _Statistics) -> None:
+def _require_finite(values: np.ndarray, what: str, stats: _Statistics, point: int) -> None:
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
     if not finite.all():
-        stream_id = stats.stream_ids[int(np.argmin(finite))]
         raise NumericalError(
-            f"non-finite {what} in trial {stream_id % 2**32} of sweep point {stream_id >> 32}"
+            f"non-finite {what} in trial {stats.stream_ids[int(np.argmin(finite))]} of sweep point {point}"
             f" (master seed {stats.master_seed})"
         )
 
 
 def _tx_basis(
-    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, attack: AttackScenario, stats: _Statistics
+    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, attack: AttackScenario, stats: _Statistics, point: int
 ) -> np.ndarray:
     """Stack of the TX's jamming bases, from the reverse statistics per unit pilot energy a = p0 t0 / n_l.
 
@@ -331,7 +345,7 @@ def _tx_basis(
             added = noise * stats.added + contamination[..., n_l:]
             remainder = math.sqrt(1.0 if stats.f0 is None else 2.0) * noise * stats.remainder
             tx = np.concatenate([tx, added, remainder], axis=-1)
-    _require_finite(tx, "reverse-phase statistic", stats)
+    _require_finite(tx, "reverse-phase statistic", stats, point)
     if scheme == "wr":
         # bottom eigenvectors of the reverse autocorrelation: the complement
         # of blind_whitening_tx's top n_l, the span build_an_basis returns
@@ -340,15 +354,15 @@ def _tx_basis(
 
 
 def _evaluate(
-    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, attack: AttackScenario, stats: _Statistics
+    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, attack: AttackScenario, stats: _Statistics, point: int
 ) -> np.ndarray:
-    """(trials, 2) per-trial (lr, ur) NMSE values, a pure function of the statistics.
+    """(trials, 2) per-trial (lr, ur) NMSE values at sweep point `point`, a pure function of the statistics.
 
     The least-squares error at a receiver is (H N A c1^H + E1 c1^H) / sqrt(x),
     N the TX basis, and the LMMSE estimate shrinks it by alpha.  Given
     run_trial's own draws so projected, this returns run_trial's values.
     """
-    basis = _tx_basis(cfg, alloc, scheme, attack, stats)
+    basis = _tx_basis(cfg, alloc, scheme, attack, stats, point)
     h = math.sqrt(cfg.sigma_h_sq) * stats.h
     g = math.sqrt(cfg.sigma_g_sq) * stats.g
     x = alloc.p1 * cfg.t1 / cfg.n_t
@@ -361,7 +375,7 @@ def _evaluate(
         err_h = alpha_h * err_h + (alpha_h - 1.0) * h
         err_g = alpha_g * err_g + (alpha_g - 1.0) * g
     nmse = np.stack([_sq_norm(err_h) / (cfg.n_l * cfg.n_t), _sq_norm(err_g) / (cfg.n_u * cfg.n_t)], axis=1)
-    _require_finite(nmse, "NMSE", stats)
+    _require_finite(nmse, "NMSE", stats, point)
     return nmse
 
 
@@ -395,45 +409,44 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRow]:
     The spec was checked when it was built.  Every sweep point's power
     allocation is solved first; an infeasible point (gamma outside its
     bounds there, or no wiretap channel to jam) gives a row with empty
-    value fields and trials=0.  The feasible points' trials are cut into
-    jobs of at most _PASS trials, and the one job list is mapped once: by
-    a pool of `workers` processes when workers > 1, in this process
-    otherwise.  The jobs, and so the rows, do not depend on the worker
-    count.
+    value fields and trials=0.  The trials are cut into jobs of at most
+    _PASS trials; trial i draws from stream (master_seed, i) once and is
+    evaluated at every feasible point, so the rows of one sweep share
+    their draws.  The one job list is mapped once: by a pool of `workers`
+    processes when workers > 1, in this process otherwise.  The jobs, and
+    so the rows, do not depend on the worker count.
     """
     points = [_solve_point(spec, kind, value) for kind, value in spec.sweep()]
-    passes = range(0, spec.trials, _PASS)
-    jobs = []
-    for s, (_, cfg, attack, alloc) in enumerate(points):
-        ids = range(s * 2**32, s * 2**32 + spec.trials)  # trial i of point s has stream s * 2**32 + i
-        if alloc is not None:
-            jobs += [(cfg, alloc, spec.scheme, attack, spec.master_seed, ids[i : i + _PASS]) for i in passes]
+    feasible = [(s, cfg, attack, alloc) for s, (_, cfg, attack, alloc) in enumerate(points) if alloc is not None]
+    trials = range(spec.trials)
+    jobs = [(spec.scheme, feasible, spec.master_seed, trials[i : i + _PASS]) for i in trials[::_PASS] if feasible]
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        results = (pool.map if pool else map)(_job, jobs)
-        rows = []
-        for value, cfg, attack, alloc in points:
-            if alloc is None:  # infeasible: no allocation, no trials
-                rows.append(ResultRow(value, spec.scheme, attack.mode, *[None] * 7, 0, spec.master_seed))
-                continue
-            nmse = np.concatenate([next(results) for _ in passes])
-            lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
-            rows.append(
-                ResultRow(
-                    sweep_value=value,
-                    scheme=spec.scheme,
-                    attack_mode=attack.mode,
-                    p1=alloc.p1,
-                    sigma_a_sq=alloc.sigma_a_sq,
-                    p0=alloc.p0,
-                    nmse_lr_emp=math.fsum(nmse[:, 0]) / spec.trials,
-                    nmse_lr_cf=lr_cf,
-                    nmse_ur_emp=math.fsum(nmse[:, 1]) / spec.trials,
-                    nmse_ur_cf=ur_cf,
-                    trials=spec.trials,
-                    seed=spec.master_seed,
-                )
+        results = list((pool.map if pool else map)(_job, jobs))
+    per_point = (np.concatenate(passes) for passes in zip(*results))  # the feasible points' values, in order
+    rows = []
+    for value, cfg, attack, alloc in points:
+        if alloc is None:  # infeasible: no allocation, no trials
+            rows.append(ResultRow(value, spec.scheme, attack.mode, *[None] * 7, 0, spec.master_seed))
+            continue
+        nmse = next(per_point)
+        lr_cf, ur_cf = _closed_forms(cfg, alloc, spec.scheme, attack)
+        rows.append(
+            ResultRow(
+                sweep_value=value,
+                scheme=spec.scheme,
+                attack_mode=attack.mode,
+                p1=alloc.p1,
+                sigma_a_sq=alloc.sigma_a_sq,
+                p0=alloc.p0,
+                nmse_lr_emp=math.fsum(nmse[:, 0]) / spec.trials,
+                nmse_lr_cf=lr_cf,
+                nmse_ur_emp=math.fsum(nmse[:, 1]) / spec.trials,
+                nmse_ur_cf=ur_cf,
+                trials=spec.trials,
+                seed=spec.master_seed,
             )
-        return rows
+        )
+    return rows
 
 
 def _solve_point(

@@ -21,6 +21,7 @@ from dce import (
     contaminate_reverse,
     emit_csv,
     lmmse_uplink,
+    nmse_lr_closed,
     orthonormal_rows,
     read_csv,
     run_experiment,
@@ -151,6 +152,35 @@ def test_experiment_p0_bar_sweep_attack_power_applied():
     assert rows[1].nmse_lr_emp > rows[0].nmse_lr_emp
 
 
+def one_point_rows(spec, field):
+    """run_experiment at each sweep value on its own, with the spec's seed."""
+    return [run_experiment(dataclasses.replace(spec, **{field: (v,)}))[0] for v in getattr(spec, field)]
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        (ExperimentSpec(cfg=CFG, scheme="lmmse", snr_db_grid=(-10.0, 5.0, 20.0), trials=300, master_seed=16),
+         "snr_db_grid"),
+        (ExperimentSpec(cfg=CFG, scheme="wr", snr_db_grid=(25.0,), t1_grid=(20, 60, 140), trials=300, master_seed=17),
+         "t1_grid"),
+        (ExperimentSpec(cfg=CFG, scheme="wr", attack=AttackScenario("guess", 1.0), snr_db_grid=(25.0,),
+                        p0_bar_grid=(0.0, 0.3, 1.0), trials=300, master_seed=18), "p0_bar_grid"),
+    ],
+    ids=["snr-with-infeasible", "t1", "p0_bar-with-silent"],
+)
+def test_sweep_rows_equal_their_one_point_runs(spec, field):
+    # common random numbers: trial i draws the same stream at every sweep point
+    rows = run_experiment(spec)
+    assert rows == one_point_rows(spec, field)
+    if field == "snr_db_grid":
+        assert rows[0].trials == 0
+    if field == "p0_bar_grid":
+        # the silent point ignores the attacker's draws: it is the clean trial
+        clean = run_experiment(dataclasses.replace(spec, attack=AttackScenario(), p0_bar_grid=None))[0]
+        assert dataclasses.replace(rows[0], sweep_value=clean.sweep_value, attack_mode="none") == clean
+
+
 def test_perfect_csi_lower_bounds_wr():
     spec = ExperimentSpec(cfg=CFG, scheme="wr", snr_db_grid=(20.0,), trials=2000, master_seed=4)
     wr = run_experiment(spec)[0]
@@ -248,10 +278,9 @@ ENGINE_CASES = [
 ENGINE_IDS = [f"{scheme}-{attack.mode}-{attack.p0_bar:g}" for scheme, attack in ENGINE_CASES]
 
 
-def engine(cfg, alloc, scheme, attack, seed, ids, sweep_index=0):
-    """(lr, ur) arrays of the given trials of one sweep point, as one job."""
-    base = sweep_index * 2**32
-    return simulate._job((cfg, alloc, scheme, attack, seed, range(base + ids.start, base + ids.stop))).T
+def engine(cfg, alloc, scheme, attack, seed, ids):
+    """(lr, ur) arrays of the given trials at one sweep point, as one job."""
+    return simulate._job((scheme, [(0, cfg, attack, alloc)], seed, ids))[0].T
 
 
 @pytest.mark.parametrize("t0", [3, 5, 140])  # n_l + 1, 2 n_l + 1, the default
@@ -283,6 +312,24 @@ def test_engine_lmmse_shrinkage_in_distribution(attack):
     assert np.all(gap <= 4.0), f"(lr, ur) mean gaps {gap} standard errors"
 
 
+@pytest.mark.parametrize(
+    "n_t,n_l,snr_db",
+    [(4, 2, 5.0), (4, 2, 15.0), (3, 1, 5.0), (8, 2, 5.0)],
+    ids=["4x2x2-5", "4x2x2-15", "3x1x1-5", "8x2x2-5"],
+)
+def test_clean_wr_lr_closed_form_exact_at_t0_equal_n_l(n_t, n_l, snr_db):
+    # no added or noise-only reverse rows: the blind TX's basis is the LMMSE TX's
+    trials = 40000
+    cfg = make_cfg(n_t=n_t, n_l=n_l, n_u=n_l, t0=n_l, sigma0_sq=snr_to_sigma0_sq(snr_db))
+    alloc = solve(PowerAllocationProblem(cfg))
+    lr = np.concatenate(
+        [engine(cfg, alloc, "wr", AttackScenario(), 37, range(i, i + 4000))[0] for i in range(0, trials, 4000)]
+    )
+    cf = nmse_lr_closed(cfg, alloc.p0, alloc.p1, alloc.sigma_a_sq)
+    z = (lr.mean() - cf) / (lr.std() / np.sqrt(trials))
+    assert abs(z) <= 4.0, f"closed form {cf} against {lr.mean()}: {z:+.2f} standard errors"
+
+
 @pytest.mark.parametrize("scheme", ["wr", "wr_perfect_csi"])
 def test_engine_noise_free_lr_exact_with_an(scheme):
     cfg = make_cfg(sigma0_sq=0.0)
@@ -309,9 +356,9 @@ def test_engine_noise_free_lr_exact_any_shape(n_t, data, scheme):
 @pytest.mark.parametrize("scheme,attack", ENGINE_CASES, ids=ENGINE_IDS)
 def test_engine_values_independent_of_the_split(scheme, attack):
     alloc = solve(PowerAllocationProblem(CFG))
-    whole = engine(CFG, alloc, scheme, attack, 14, range(600), sweep_index=2)
+    whole = engine(CFG, alloc, scheme, attack, 14, range(600))
     cuts = (0, 1, 257, 258, 600)
-    parts = [engine(CFG, alloc, scheme, attack, 14, range(a, b), sweep_index=2) for a, b in zip(cuts, cuts[1:])]
+    parts = [engine(CFG, alloc, scheme, attack, 14, range(a, b)) for a, b in zip(cuts, cuts[1:])]
     for i in range(2):
         assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
 
@@ -403,14 +450,14 @@ def replayed_statistics(cfg, alloc, scheme, attack, stream):
     stats = dataclasses.replace(stats, **{f: v[None] for f, v in vars(stats).items() if isinstance(v, np.ndarray)})
     # the engine's basis N_eng spans run_trial's N_rt: feed run_trial's
     # jamming in engine coordinates, U A c1^H with U = N_eng^H N_rt
-    n_eng = simulate._tx_basis(cfg, alloc, scheme, attack, stats)[0]
+    n_eng = simulate._tx_basis(cfg, alloc, scheme, attack, stats, 0)[0]
     an = n_eng.conj().T @ n_rt @ a @ c1.conj().T / np.sqrt(alloc.sigma_a_sq)
     return dataclasses.replace(stats, an=an[None])
 
 
 def assert_engine_replays_run_trial(cfg, alloc, scheme, attack, stream):
     stats = replayed_statistics(cfg, alloc, scheme, attack, stream)
-    got = simulate._evaluate(cfg, alloc, scheme, attack, stats)[0]
+    got = simulate._evaluate(cfg, alloc, scheme, attack, stats, 0)[0]
     want = np.array(run_trial(cfg, alloc, scheme, attack, stream))
     assert np.all(np.abs(got - want) <= 1e-12 * want), f"engine {got} against run_trial {want}"
 
