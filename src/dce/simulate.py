@@ -9,10 +9,10 @@ instead, in two stages.  _draw_statistics is its law: the NMSE values
 depend on a trial only through the channels, the noises and jamming
 projected onto the pilot rows, and the Wishart Gram of the noise-only
 reverse rows, so it draws those small matrices, whose size depends on
-neither training length.  _evaluate, a pure function, computes the
-transmitter's jamming basis and both receivers' errors from them for a
-pass of trials at once.  Fed run_trial's own draws so projected, it
-returns run_trial's values; the two implementations differ in how they
+neither training length.  _tx_basis computes the transmitter's jamming
+basis from them, and _evaluate, a pure function, both receivers' errors,
+for a pass of trials at once.  Fed run_trial's own draws so projected,
+they return run_trial's values; the two implementations differ in how they
 draw, so their outputs agree in distribution, not draw for draw.
 
 An experiment solves the power allocation of every sweep point (SNR,
@@ -21,15 +21,21 @@ most _PASS trials, and sums each point's per-trial NMSE values exactly,
 so results are independent of job order and worker count.  No sweep
 changes the shape of a statistic: SNR, t1 and p0_bar only scale the
 statistics inside _evaluate.  So a job draws its trials once and
-evaluates them at every sweep point (common random numbers).
+evaluates them at every sweep point (common random numbers), and builds
+one jamming basis per distinct reverse statistic: one for a whole t1
+sweep, one for every sweep of the perfect-CSI scheme.
 
-Randomness: trial i uses the stream (master_seed, i), at every sweep
-point of run_experiment and in run_trial alike, so the rows of one sweep
-are correlated; independent points need different master seeds.  Draws
-every scheme consumes come from one substream in a fixed order, so
-schemes compared under the same master seed share channel and noise
-realizations; only variant-specific draws (random reverse pilots in
-run_trial, the attacker's) come from substreams of their own.
+Randomness: run_trial draws trial i from the stream (master_seed, i).
+run_experiment draws a pass of _PASS trials at a time: pass p from the
+stream (master_seed, p), one call per substream, and trial i is column
+i % _PASS of pass i // _PASS.  A trial's values therefore do not depend
+on the trial count, the job split or the worker count; they are the same
+at every sweep point, so the rows of one sweep are correlated, and
+independent points need different master seeds.  Draws every scheme
+consumes come first, from one substream, field by field in a fixed
+order, so schemes compared under the same master seed share channel and
+noise realizations; only variant-specific draws (random reverse pilots
+in run_trial, the attacker's) come from substreams of their own.
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ class ExperimentSpec:
         return [("snr_db", float(v)) for v in self.snr_db_grid]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     """One aggregated sweep point; closed-form fields are None where no prediction exists."""
 
@@ -190,29 +196,37 @@ def run_trial(
     )
 
 
-# Trials per job: a job is one vectorised pass over consecutive trials,
+# Trials per pass: a job is one vectorised pass over consecutive trials,
 # drawn once and evaluated at every feasible sweep point, so memory does
 # not grow with the trial count and the job list does not depend on the
-# worker count.
+# worker count.  Each pass draws from a stream of its own, so _PASS is
+# part of the stream definition: changing it changes every draw.
 _PASS = 256
 
 
 def _job(args) -> list[np.ndarray]:
-    """(trials, 2) per-trial (lr, ur) NMSE values of a range of streams, one array per given sweep point.
+    """(trials, 2) per-trial (lr, ur) NMSE values of a range of trials, one array per given sweep point.
 
     The points are (index, config, attack, allocation) of one sweep, so
     they share the shapes of every statistic.  The attacker's draws are
     made if any point's attacker transmits; a silent point ignores them,
-    so it sees the clean trial.
+    so it sees the clean trial.  The TX basis reads a point only through
+    sigma0^2, p0 and, if the attacker transmits, p0_bar (the genie TX
+    through none of them), so points that agree on those share one.
     """
     scheme, points, master_seed, stream_ids = args
     loudest = max((attack for _, _, attack, _ in points), key=lambda attack: attack.p0_bar)
     stats = _draw_statistics(points[0][1], scheme, loudest, master_seed, stream_ids)
     clean = replace(stats, f0=None, coords=None)
-    return [
-        _evaluate(cfg, alloc, scheme, attack, stats if attack.p0_bar > 0 else clean, point)
-        for point, cfg, attack, alloc in points
-    ]
+    bases = {}
+    values = []
+    for point, cfg, attack, alloc in points:
+        seen = stats if attack.p0_bar > 0 else clean
+        key = None if scheme == "wr_perfect_csi" else (cfg.sigma0_sq, alloc.p0, attack.p0_bar)
+        if key not in bases:
+            bases[key] = _tx_basis(cfg, alloc, scheme, attack, seen, point)
+        values.append(_evaluate(cfg, alloc, scheme, seen, bases[key], point))
+    return values
 
 
 @dataclass(frozen=True)
@@ -263,17 +277,24 @@ def _wishart_factor(flat: np.ndarray, gammas: np.ndarray, dim: int, dof: int) ->
 def _draws(
     master_seed: int, stream_ids: range, substream: int, shapes: list[tuple[int, int]], gamma_shapes: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Stacks of unit CN(0, 1) matrices of the given shapes, then Gamma draws, from each trial's substream."""
+    """Stacks of unit CN(0, 1) matrices of the given shapes, then Gamma draws, of the given trials.
+
+    Pass p draws from its stream (master_seed, p), in one complex_gaussian
+    call field by field (row r holds entry r of every trial of the pass,
+    so a field's values do not depend on the fields after it), then in one
+    standard_gamma call.  Trial i is column i % _PASS of pass i // _PASS.
+    Every touched pass is drawn whole and its trials sliced out, so a
+    trial's values do not depend on the range it is drawn in.
+    """
     sizes = [rows * cols for rows, cols in shapes]
-    normal = np.empty((len(stream_ids), sum(sizes)), dtype=complex)
-    gamma = np.empty((len(stream_ids), gamma_shapes.size))
-    for row, stream_id in enumerate(stream_ids):
-        rng = RngStream(master_seed, stream_id).substream(substream)
-        normal[row : row + 1] = complex_gaussian(rng, 1, normal.shape[1], 1.0)
-        if gamma_shapes.size:
-            gamma[row] = rng.standard_gamma(gamma_shapes)
-    parts = np.split(normal, np.cumsum(sizes)[:-1], axis=1)
-    return [part.reshape(len(normal), *shape) for part, shape in zip(parts, shapes)], gamma
+    normal, gamma = [], []
+    for p in range(stream_ids[0] // _PASS, stream_ids[-1] // _PASS + 1):
+        rng = RngStream(master_seed, p).substream(substream)
+        cols = slice(max(stream_ids[0] - p * _PASS, 0), stream_ids[-1] + 1 - p * _PASS)
+        normal.append(complex_gaussian(rng, sum(sizes), _PASS, 1.0)[:, cols])
+        gamma.append(rng.standard_gamma(gamma_shapes, size=(_PASS, gamma_shapes.size))[cols])
+    parts = np.split(np.concatenate(normal, axis=1).T, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape(len(stream_ids), *shape) for part, shape in zip(parts, shapes)], np.concatenate(gamma)
 
 
 def _draw_statistics(
@@ -354,15 +375,14 @@ def _tx_basis(
 
 
 def _evaluate(
-    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, attack: AttackScenario, stats: _Statistics, point: int
+    cfg: SystemConfig, alloc: PowerAllocation, scheme: str, stats: _Statistics, basis: np.ndarray, point: int
 ) -> np.ndarray:
     """(trials, 2) per-trial (lr, ur) NMSE values at sweep point `point`, a pure function of the statistics.
 
     The least-squares error at a receiver is (H N A c1^H + E1 c1^H) / sqrt(x),
-    N the TX basis, and the LMMSE estimate shrinks it by alpha.  Given
-    run_trial's own draws so projected, this returns run_trial's values.
+    N the TX basis (_tx_basis), and the LMMSE estimate shrinks it by alpha.
+    Given run_trial's own draws so projected, this returns run_trial's values.
     """
-    basis = _tx_basis(cfg, alloc, scheme, attack, stats, point)
     h = math.sqrt(cfg.sigma_h_sq) * stats.h
     g = math.sqrt(cfg.sigma_g_sq) * stats.g
     x = alloc.p1 * cfg.t1 / cfg.n_t
@@ -409,13 +429,16 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ResultRow]:
     The spec was checked when it was built.  Every sweep point's power
     allocation is solved first; an infeasible point (gamma outside its
     bounds there, or no wiretap channel to jam) gives a row with empty
-    value fields and trials=0.  The trials are cut into jobs of at most
-    _PASS trials; trial i draws from stream (master_seed, i) once and is
-    evaluated at every feasible point, so the rows of one sweep share
-    their draws.  The one job list is mapped once: by a pool of `workers`
-    processes when workers > 1, in this process otherwise.  The jobs, and
-    so the rows, do not depend on the worker count.
+    value fields and trials=0.  The trials are cut into jobs of one pass
+    of _PASS trials each; trial i is drawn once, as column i % _PASS of
+    pass i // _PASS (see _draws), and evaluated at every feasible point,
+    so the rows of one sweep share their draws.  The one job list is
+    mapped once: by a pool of `workers` processes when workers > 1, in
+    this process otherwise.  The jobs, and so the rows, do not depend on
+    the worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     points = [_solve_point(spec, kind, value) for kind, value in spec.sweep()]
     feasible = [(s, cfg, attack, alloc) for s, (_, cfg, attack, alloc) in enumerate(points) if alloc is not None]
     trials = range(spec.trials)

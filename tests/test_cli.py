@@ -124,6 +124,9 @@ def test_usage_error_exit_1():
     assert main(["simulate", "--scheme", "bogus"]) == 1
     assert main(["simulate", "--attack", "known-pilot", "--trials", "2", "--workers", "2"]) == 1  # wr pilots are private
     assert main(["no-such-command"]) == 1
+    assert main(["simulate", "--snr-db", "20", "--trials", "-5"]) == 1
+    for workers in ("0", "-3"):
+        assert main(["simulate", "--snr-db", "20", "--trials", "10", "--workers", workers]) == 1
 
 
 def test_installed_entry_point():

@@ -166,8 +166,13 @@ def one_point_rows(spec, field):
          "t1_grid"),
         (ExperimentSpec(cfg=CFG, scheme="wr", attack=AttackScenario("guess", 1.0), snr_db_grid=(25.0,),
                         p0_bar_grid=(0.0, 0.3, 1.0), trials=300, master_seed=18), "p0_bar_grid"),
+        # the shared TX basis: one per job for the genie TX and for a t1 sweep
+        (ExperimentSpec(cfg=CFG, scheme="wr_perfect_csi", snr_db_grid=(-10.0, 5.0, 30.0), trials=300, master_seed=19),
+         "snr_db_grid"),
+        (ExperimentSpec(cfg=CFG, scheme="lmmse", snr_db_grid=(25.0,), t1_grid=(20, 60, 140), trials=300,
+                        master_seed=20), "t1_grid"),
     ],
-    ids=["snr-with-infeasible", "t1", "p0_bar-with-silent"],
+    ids=["snr-with-infeasible", "t1", "p0_bar-with-silent", "perfect-csi-snr", "lmmse-t1"],
 )
 def test_sweep_rows_equal_their_one_point_runs(spec, field):
     # common random numbers: trial i draws the same stream at every sweep point
@@ -363,6 +368,25 @@ def test_engine_values_independent_of_the_split(scheme, attack):
         assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
 
 
+def test_engine_draws_pair_schemes_and_attacks():
+    # every scheme and attack under one master seed sees the same channels and noises
+    stats = [
+        simulate._draw_statistics(CFG, scheme, attack, 21, range(100, 400))
+        for scheme, attack in [("wr", AttackScenario("guess", 1.0)), ("lmmse", AttackScenario("known_pilot", 1.0)),
+                               ("wr_perfect_csi", AttackScenario())]
+    ]
+    for name in ("h", "g", "an", "e1", "f1", "z0"):
+        assert all(np.array_equal(getattr(stats[0], name), getattr(other, name)) for other in stats[1:]), name
+    assert np.array_equal(stats[0].f0, stats[1].f0)  # replay and guess share the attacker's front-end noise
+
+
+def test_experiment_rejects_fewer_than_one_worker():
+    spec = ExperimentSpec(cfg=CFG, trials=2)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(spec, workers=workers)
+
+
 def test_engine_silent_attacker_is_the_clean_trial():
     alloc = solve(PowerAllocationProblem(CFG))
     clean = engine(CFG, alloc, "wr", AttackScenario(), 15, range(50))
@@ -457,7 +481,8 @@ def replayed_statistics(cfg, alloc, scheme, attack, stream):
 
 def assert_engine_replays_run_trial(cfg, alloc, scheme, attack, stream):
     stats = replayed_statistics(cfg, alloc, scheme, attack, stream)
-    got = simulate._evaluate(cfg, alloc, scheme, attack, stats, 0)[0]
+    basis = simulate._tx_basis(cfg, alloc, scheme, attack, stats, 0)
+    got = simulate._evaluate(cfg, alloc, scheme, stats, basis, 0)[0]
     want = np.array(run_trial(cfg, alloc, scheme, attack, stream))
     assert np.all(np.abs(got - want) <= 1e-12 * want), f"engine {got} against run_trial {want}"
 
