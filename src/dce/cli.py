@@ -145,6 +145,9 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # checked here too, since fig2 runs no Monte Carlo spec that would check them
+    if args.trials < 1 or args.workers < 1:
+        raise ValueError(f"--trials and --workers must be >= 1, got {args.trials} and {args.workers}")
     file_cfg = _load_config(args.config)
     cfg = _build_cfg(file_cfg)
     out_dir = Path(args.out)

@@ -1,17 +1,21 @@
 """Optimal power split between forward pilots and artificial noise.
 
-The design problem: minimize the legitimate receiver's predicted NMSE
-subject to (a) the eavesdropper's predicted NMSE staying above gamma,
-(b) the reverse power budget, (c) the forward pilot-plus-jamming budget.
+The design problem: minimize the legitimate receiver's predicted NMSE,
+analysis.nmse_lr_closed, subject to (a) the eavesdropper's predicted
+NMSE, analysis.nmse_ur_closed, staying above gamma, (b) the reverse
+power budget, (c) the forward pilot-plus-jamming budget.
 In the reformulated variables x = p1 t1 / n_t, y = (n_t - n_l) sigma_a_sq,
 z = p0 the problem collapses to a one-dimensional problem in x: the
 eavesdropper constraint is active at the optimum, which pins y(x), and
 the reverse power separates, which pins z = p_ave.  What is left is
-c1 / x + c2 on the feasible x interval, so the optimum is an endpoint.
+c1 / x + c2 with c1 = sigma0^2 (1 - n_l s sigma0^2 / (sigma_g^2 p_ave t0)),
+s the closed form's shrinkage at t0 = n_l (s = 1 otherwise), on the
+feasible x interval, so the optimum is an endpoint.
 
-solve() picks that endpoint in closed form; solve_grid_oracle()
-exhaustively scans the original two-variable feasible set and is kept as
-an independent cross-check.
+solve() keeps the endpoint with the lower nmse_lr_closed;
+solve_grid_oracle() exhaustively scans the original two-variable
+feasible set with the same two closed forms and is kept as an
+independent cross-check of the endpoint argument.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import nmse_lr_closed, nmse_ur_closed
 from .channel import SystemConfig
 from .errors import InfeasibleConfigError, NumericalError
 
@@ -67,17 +72,6 @@ class PowerAllocationProblem:
                 f"gamma={self.cfg.gamma} outside feasible range [{lo:.6g}, {hi:.6g}]"
             )
 
-    def objective(self, x: float) -> float:
-        """Reformulated objective sigma0^2/x + y(x) n_l sigma0^2 / (x z) at z = p_ave."""
-        cfg = self.cfg
-        y = self.y_of_x(x)
-        return cfg.sigma0_sq / x + y * cfg.n_l * cfg.sigma0_sq / (x * cfg.p_ave)
-
-    def y_of_x(self, x: float) -> float:
-        """Jamming power that makes the eavesdropper constraint active."""
-        cfg = self.cfg
-        return (x * cfg.gamma - cfg.sigma0_sq) / cfg.sigma_g_sq
-
 
 def gamma_bounds(cfg: SystemConfig) -> tuple[float, float]:
     """Feasible range of the eavesdropper NMSE threshold.
@@ -109,31 +103,32 @@ def feasible_x_interval(cfg: SystemConfig) -> tuple[float, float]:
     return x_min, x_max
 
 
-def solve(problem: PowerAllocationProblem) -> PowerAllocation:
-    """Optimal power split: the better endpoint of the feasible x interval.
+def _split(cfg: SystemConfig, x: float, y: float) -> PowerAllocation:
+    p1 = x * cfg.n_t / cfg.t1
+    sigma_a_sq = y / (cfg.n_t - cfg.n_l)
+    objective = nmse_lr_closed(cfg, cfg.p_ave, p1, sigma_a_sq)
+    return PowerAllocation(x=x, y=y, z=cfg.p_ave, p1=p1, sigma_a_sq=sigma_a_sq, p0=cfg.p_ave, objective=objective)
 
-    With y(x) substituted the objective is c1/x + c2 with
-    c1 = sigma0^2 (1 - n_l sigma0^2 / (sigma_g^2 p_ave)), so the optimum
-    is x_max when c1 >= 0 (ties resolve toward larger x, lower NMSE at
-    the legitimate receiver) and x_min otherwise.  Raises NumericalError
-    when that arithmetic overflows, as it does for a sigma_g_sq near the
-    largest float.
+
+def solve(problem: PowerAllocationProblem) -> PowerAllocation:
+    """Optimal power split: the endpoint of the feasible x interval with the lower nmse_lr_closed.
+
+    That is x_max when c1 >= 0 and x_min otherwise (see the module
+    docstring); ties resolve toward x_max, lower NMSE at the legitimate
+    receiver.  With sigma0^2 = 0, x_min = 0 and the objective is 0 at
+    x_max.  Raises NumericalError when that arithmetic overflows, as it
+    does for a sigma_g_sq near the largest float.
     """
     cfg = problem.cfg
     x_lo, x_hi = feasible_x_interval(cfg)
-    c1 = cfg.sigma0_sq * (1.0 - cfg.n_l * cfg.sigma0_sq / (cfg.sigma_g_sq * cfg.p_ave))
-    best_x = x_hi if c1 >= 0 else x_lo
-    y_star = max(problem.y_of_x(best_x), 0.0)
-    z_star = cfg.p_ave
-    alloc = PowerAllocation(
-        x=best_x,
-        y=y_star,
-        z=z_star,
-        p1=best_x * cfg.n_t / cfg.t1,
-        sigma_a_sq=y_star / (cfg.n_t - cfg.n_l),
-        p0=z_star,
-        objective=problem.objective(best_x),
-    )
+
+    def active(x: float) -> PowerAllocation:  # y(x) = (x gamma - sigma0^2) / sigma_g^2
+        return _split(cfg, x, max((x * cfg.gamma - cfg.sigma0_sq) / cfg.sigma_g_sq, 0.0))
+
+    alloc = active(x_hi)
+    if x_lo > 0:  # sigma0^2 = 0 puts x_min at 0, where no pilot is sent
+        low = active(x_lo)
+        alloc = low if low.objective < alloc.objective else alloc  # a tie or a NaN keeps x_max
     if not np.all(np.isfinite([alloc.x, alloc.y, alloc.p1, alloc.sigma_a_sq, alloc.objective])):
         raise NumericalError(f"non-finite power allocation: {alloc}")
     return alloc
@@ -142,15 +137,14 @@ def solve(problem: PowerAllocationProblem) -> PowerAllocation:
 def solve_grid_oracle(problem: PowerAllocationProblem, grid_points: int = 2000) -> PowerAllocation:
     """Brute-force scan of the original (x, y) feasible set at z = p_ave.
 
-    Evaluates the reformulated objective on a grid, keeps feasible points
-    only, and returns the best with deterministic tie-breaking (lowest x,
-    then lowest y).  Kept deliberately independent of solve() as a check
-    against its algebra.
+    Keeps the grid points where nmse_ur_closed >= gamma and the forward
+    budget holds, ranks them by nmse_lr_closed, and returns the best with
+    deterministic tie-breaking (lowest x, then lowest y).  It shares the
+    model with solve() but not its endpoint algebra, so it checks that.
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
     cfg = problem.cfg
-    z = cfg.p_ave
     # upper x limits implied directly by the raw constraints: the power
     # budget at y = 0, and the threshold constraint at the largest y it
     # admits (y <= p_ave)
@@ -158,24 +152,14 @@ def solve_grid_oracle(problem: PowerAllocationProblem, grid_points: int = 2000) 
     x_hi = min(x_hi, (cfg.sigma0_sq + cfg.p_ave * cfg.sigma_g_sq) / cfg.gamma)
     xs = np.linspace(x_hi / grid_points, x_hi, grid_points)
     ys = np.linspace(0.0, cfg.p_ave, grid_points)
-    xg = xs[:, None]
-    yg = ys[None, :]
-    ur_ok = cfg.sigma0_sq / xg + yg * cfg.sigma_g_sq / xg >= cfg.gamma
-    power_ok = xg * cfg.n_t / cfg.t1 + yg <= cfg.p_ave
-    feasible = ur_ok & power_ok
+    p1s = xs * cfg.n_t / cfg.t1
+    sigma_a_sqs = ys / (cfg.n_t - cfg.n_l)
+    # one row per x, since the closed forms take a scalar p1
+    ur = np.array([nmse_ur_closed(cfg, p1, sigma_a_sqs) for p1 in p1s])
+    feasible = (ur >= cfg.gamma) & (p1s[:, None] + ys[None, :] <= cfg.p_ave)
     if not feasible.any():
         raise InfeasibleConfigError("no feasible grid point; gamma likely out of range")
-    obj = cfg.sigma0_sq / xg + yg * cfg.n_l * cfg.sigma0_sq / (xg * z)
-    obj = np.where(feasible, obj, np.inf)
-    flat = np.argmin(obj)  # argmin scans x-major then y: lowest x, then lowest y
+    obj = np.array([nmse_lr_closed(cfg, cfg.p_ave, p1, sigma_a_sqs) for p1 in p1s])
+    flat = np.argmin(np.where(feasible, obj, np.inf))  # x-major then y: lowest x, then lowest y
     i, j = np.unravel_index(flat, obj.shape)
-    x_best, y_best = float(xs[i]), float(ys[j])
-    return PowerAllocation(
-        x=x_best,
-        y=y_best,
-        z=z,
-        p1=x_best * cfg.n_t / cfg.t1,
-        sigma_a_sq=y_best / (cfg.n_t - cfg.n_l),
-        p0=z,
-        objective=float(obj[i, j]),
-    )
+    return _split(cfg, float(xs[i]), float(ys[j]))

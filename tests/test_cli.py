@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dce.cli import main
+from dce.presets import FIGURES
 from dce.simulate import CSV_HEADER, read_csv
 
 
@@ -120,13 +125,36 @@ def test_experiment_small_fig4c(tmp_path):
     assert all(r.attack_mode == "guess" for r in rows)
 
 
-def test_usage_error_exit_1():
+def test_usage_error_exit_1(tmp_path):
     assert main(["simulate", "--scheme", "bogus"]) == 1
     assert main(["simulate", "--attack", "known-pilot", "--trials", "2", "--workers", "2"]) == 1  # wr pilots are private
     assert main(["no-such-command"]) == 1
     assert main(["simulate", "--snr-db", "20", "--trials", "-5"]) == 1
     for workers in ("0", "-3"):
         assert main(["simulate", "--snr-db", "20", "--trials", "10", "--workers", workers]) == 1
+    # fig2 runs no Monte Carlo spec, so only the command itself checks its flags
+    assert main(["experiment", "fig2", "--out", str(tmp_path), "--trials", "-5"]) == 1
+    assert main(["experiment", "fig2", "--out", str(tmp_path), "--workers", "0"]) == 1
+    assert main(["experiment", "fig2", "--out", str(tmp_path), "--workers", "0", "--trials", "-5"]) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["simulate", *(f"experiment {fig}" for fig in FIGURES)]),
+    trials=st.integers(-3, 2),
+    workers=st.integers(-3, 2),
+)
+def test_fewer_than_one_trial_or_worker_exits_1_without_csv(command, trials, workers):
+    assume(trials < 1 or workers < 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        if command == "simulate":
+            argv, csv_path = ["simulate", "--snr-db", "20", "--out", str(out)], out
+        else:
+            figure = command.split()[1]
+            argv, csv_path = ["experiment", figure, "--out", str(out)], out / f"{figure}.csv"
+        assert main([*argv, "--trials", str(trials), "--workers", str(workers)]) == 1
+        assert not csv_path.exists()
 
 
 def test_installed_entry_point():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from dce import (
+    ExperimentSpec,
     PowerAllocationProblem,
     SystemConfig,
     feasible_x_interval,
     gamma_bounds,
+    nmse_lr_closed,
     nmse_ur_closed,
+    run_experiment,
     solve,
     solve_grid_oracle,
 )
@@ -90,8 +93,9 @@ def test_solve_constraint_activity():
 
 
 def test_solve_handles_increasing_objective():
-    # sigma_g^2 p_ave < n_l sigma0^2 flips the objective slope: optimum at x_min
-    cfg = make_cfg(sigma_g_sq=0.001, sigma0_sq=0.01, gamma=1.0)
+    # n_l s sigma0^2 / (sigma_g^2 p_ave t0) = 9.9 > 1 at t0 = n_l flips the
+    # slope of nmse_lr_closed along the active constraint: optimum at x_min
+    cfg = make_cfg(sigma_g_sq=0.001, sigma0_sq=0.01, gamma=1.0, t0=2)
     lo, hi = gamma_bounds(cfg)
     assert lo <= cfg.gamma <= hi
     problem = PowerAllocationProblem(cfg)
@@ -159,7 +163,20 @@ def test_solve_beats_oracle_on_random_configs():
         alloc = solve(problem)
         oracle = solve_grid_oracle(problem, grid_points=400)
         assert alloc.objective <= oracle.objective * 1.005
+        assert alloc.objective == pytest.approx(
+            nmse_lr_closed(cfg, alloc.p0, alloc.p1, alloc.sigma_a_sq), rel=1e-12
+        )
         checked += 1
+
+
+def test_low_snr_split_jams_and_discriminates():
+    # at 2 dB the allocator must still jam: the LR sits well below the
+    # eavesdropper's floor, which stays active
+    spec = ExperimentSpec(cfg=CFG, scheme="wr", snr_db_grid=(2.0,), gamma=0.03, trials=2000, master_seed=5)
+    row = run_experiment(spec)[0]
+    assert row.sigma_a_sq > 0
+    assert row.nmse_lr_emp < 0.9 * 0.03
+    assert abs(row.nmse_ur_emp - 0.03) / 0.03 <= 0.05
 
 
 def test_grid_oracle_requires_enough_points():
