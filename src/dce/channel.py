@@ -32,6 +32,7 @@ class SystemConfig:
     sigma_h_sq, sigma_g_sq: per-entry channel variances.
     sigma0_sq: receiver noise variance, p_ave: per-phase power budget,
     gamma: lower bound enforced on the eavesdropper's estimation NMSE.
+    Counts and lengths must be ints >= 1; NaN is rejected, infinity is not.
     """
 
     n_t: int = 4
@@ -46,6 +47,9 @@ class SystemConfig:
     gamma: float = 0.03
 
     def __post_init__(self) -> None:
+        for name in ("n_t", "n_l", "n_u", "t0", "t1"):
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if self.n_t <= self.n_l:
             raise DimensionError(
                 f"need n_t > n_l for a nonempty null space, got n_t={self.n_t}, n_l={self.n_l}"
@@ -55,12 +59,12 @@ class SystemConfig:
         if self.t1 < self.n_t:
             raise DimensionError(f"t1={self.t1} < n_t={self.n_t}: forward pilots cannot be orthogonal")
         for name in ("sigma_h_sq", "sigma_g_sq", "sigma0_sq"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.p_ave <= 0:
-            raise ValueError("p_ave must be > 0")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+            if not getattr(self, name) >= 0:  # NaN fails every comparison
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if not self.p_ave > 0:
+            raise ValueError(f"p_ave must be > 0, got {self.p_ave!r}")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)

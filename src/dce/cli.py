@@ -112,7 +112,7 @@ def _cmd_power_alloc(args) -> int:
     print(f"z*      = {alloc.z:.6f}")
     print(f"p1      = {alloc.p1:.6f}")
     print(f"sigma_a_sq = {alloc.sigma_a_sq:.6f}")
-    print(f"predicted nmse_lr = {analysis.nmse_lr_closed(cfg, alloc.p0, alloc.p1, alloc.sigma_a_sq):.6e}")
+    print(f"predicted nmse_lr = {alloc.objective:.6e}")
     print(f"predicted nmse_ur = {analysis.nmse_ur_closed(cfg, alloc.p1, alloc.sigma_a_sq):.6e}")
     if args.verify:
         oracle = solve_grid_oracle(problem, grid_points=args.grid_points)

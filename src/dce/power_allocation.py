@@ -152,14 +152,12 @@ def solve_grid_oracle(problem: PowerAllocationProblem, grid_points: int = 2000) 
     x_hi = min(x_hi, (cfg.sigma0_sq + cfg.p_ave * cfg.sigma_g_sq) / cfg.gamma)
     xs = np.linspace(x_hi / grid_points, x_hi, grid_points)
     ys = np.linspace(0.0, cfg.p_ave, grid_points)
-    p1s = xs * cfg.n_t / cfg.t1
+    p1s = (xs * cfg.n_t / cfg.t1)[:, None]  # x down the rows, y along the columns
     sigma_a_sqs = ys / (cfg.n_t - cfg.n_l)
-    # one row per x, since the closed forms take a scalar p1
-    ur = np.array([nmse_ur_closed(cfg, p1, sigma_a_sqs) for p1 in p1s])
-    feasible = (ur >= cfg.gamma) & (p1s[:, None] + ys[None, :] <= cfg.p_ave)
+    feasible = (nmse_ur_closed(cfg, p1s, sigma_a_sqs) >= cfg.gamma) & (p1s + ys <= cfg.p_ave)
     if not feasible.any():
         raise InfeasibleConfigError("no feasible grid point; gamma likely out of range")
-    obj = np.array([nmse_lr_closed(cfg, cfg.p_ave, p1, sigma_a_sqs) for p1 in p1s])
+    obj = nmse_lr_closed(cfg, cfg.p_ave, p1s, sigma_a_sqs)
     flat = np.argmin(np.where(feasible, obj, np.inf))  # x-major then y: lowest x, then lowest y
     i, j = np.unravel_index(flat, obj.shape)
     return _split(cfg, float(xs[i]), float(ys[j]))

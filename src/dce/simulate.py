@@ -269,8 +269,9 @@ def _wishart_factor(flat: np.ndarray, gammas: np.ndarray, dim: int, dof: int) ->
         return flat.reshape(len(flat), dim, dof)
     flat = flat.reshape(len(flat), -1)
     out = np.zeros((len(flat), dim, dim), dtype=complex)
-    out[:, *np.tril_indices(dim, -1)] = flat
-    out[:, *np.diag_indices(dim)] = np.sqrt(gammas)
+    rows, cols = np.tril_indices(dim, -1)
+    out[:, rows, cols] = flat
+    out[:, range(dim), range(dim)] = np.sqrt(gammas)
     return out
 
 

@@ -124,6 +124,25 @@ def test_closed_forms_depend_on_energy_products():
     )
 
 
+@pytest.mark.parametrize("cfg", [CFG, dataclasses.replace(CFG, t0=CFG.n_l)], ids=["t0=140", "t0=n_l"])
+def test_closed_forms_broadcast_like_scalar_calls(cfg):
+    p1 = np.linspace(0.05, 1.0, 7)[:, None]
+    sa2 = np.linspace(0.0, 0.5, 5)
+    forms = [
+        lambda p, s: nmse_lr_closed(cfg, 0.8, p, s),
+        lambda p, s: nmse_ur_closed(cfg, p, s),
+        lambda p, s: nmse_lr_attack_closed(cfg, 0.8, 0.3, p, s),
+    ]
+    for form in forms:
+        grid = form(p1, sa2)
+        assert grid.shape == (7, 5)
+        assert isinstance(form(0.5, 0.25), float)
+        for i, j in np.ndindex(grid.shape):
+            assert grid[i, j] == form(float(p1[i, 0]), float(sa2[j]))
+        with pytest.raises(ValueError):
+            form(np.array([[0.5], [0.0]]), sa2)
+
+
 @pytest.mark.parametrize("snr_db,expected", [(20.0, 0.01), (0.0, 1.0), (25.0, 10 ** (-2.5))])
 def test_snr_to_sigma0_sq(snr_db, expected):
     assert snr_to_sigma0_sq(snr_db) == pytest.approx(expected, rel=1e-12)

@@ -57,6 +57,31 @@ def test_non_finite_values_exit_4(command, config, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["power-alloc", "closed-form", "simulate"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n_l": 0},
+        {"n_u": 0},
+        {"n_l": -1},
+        {"n_t": 2.5},
+        {"t0": 140.5},
+        {"sigma_h_sq": float("nan")},
+        {"gamma": float("nan")},
+        {"p_ave": float("nan")},
+    ],
+    ids=lambda config: "{}={}".format(*next(iter(config.items()))),
+)
+def test_invalid_config_exits_1(command, config, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))  # writes NaN, which json reads back
+    extra = ["--trials", "3", "--out", str(tmp_path / "x.csv")] if command == "simulate" else []
+    assert main([command, "--snr-db", "20", "--config", str(cfg_path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_closed_form_with_attack(capsys):
     assert main(["closed-form", "--gamma", "0.03", "--snr-db", "20", "--p0-bar", "1.0"]) == 0
     out = capsys.readouterr().out
