@@ -18,7 +18,7 @@ import sys
 from dce import AttackScenario, ExperimentSpec, SystemConfig, run_experiment
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-cfg = SystemConfig()
+cfg = SystemConfig(gamma=0.03)
 snrs = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 results = {}
@@ -28,7 +28,6 @@ for scheme in ("wr", "lmmse", "wr_perfect_csi"):
         scheme=scheme,
         attack=AttackScenario(),
         snr_db_grid=snrs,
-        gamma=0.03,
         trials=trials,
         master_seed=1,
     )

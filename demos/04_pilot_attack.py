@@ -25,13 +25,13 @@ import sys
 from dce import AttackScenario, ExperimentSpec, SystemConfig, run_experiment
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-cfg = SystemConfig()
+cfg = SystemConfig(gamma=0.03)
 snr = (25.0,)
 
 def run(scheme, attack):
     spec = ExperimentSpec(
         cfg=cfg, scheme=scheme, attack=attack, snr_db_grid=snr,
-        gamma=0.03, trials=trials, master_seed=2,
+        trials=trials, master_seed=2,
     )
     return run_experiment(spec)[0]
 
@@ -55,7 +55,7 @@ print(f"  guessed pilots:   lr nmse = {wr_att.nmse_lr_emp:.4e} "
 print("\nattack power sweep against the semiblind scheme:")
 sweep_spec = ExperimentSpec(
     cfg=cfg, scheme="wr", attack=AttackScenario("guess", 1.0), snr_db_grid=snr,
-    gamma=0.03, trials=trials, master_seed=2,
+    trials=trials, master_seed=2,
     p0_bar_grid=tuple(round(0.1 * k, 1) for k in range(1, 11)),
 )
 for row in run_experiment(sweep_spec):

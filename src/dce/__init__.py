@@ -21,8 +21,6 @@ from .channel import ChannelRealization, SystemConfig, sample_channels
 from .errors import DceError, DimensionError, InfeasibleConfigError, NumericalError
 from .estimators import (
     blind_whitening_tx,
-    lmmse_downlink,
-    lmmse_uplink,
     procrustes_rotation,
     wr_estimate_lr,
     wr_estimate_ur,
@@ -41,7 +39,6 @@ from .training import (
     ForwardSignal,
     ReverseSignal,
     build_an_basis,
-    build_attack_signal,
     build_forward_signal,
     build_reverse_signal,
 )

@@ -15,8 +15,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .errors import DimensionError
-from .linalg import complex_gaussian
-from .training import build_attack_signal
+from .linalg import complex_gaussian, orthonormal_rows
 
 __all__ = ["AttackScenario", "contaminate_reverse"]
 
@@ -53,8 +52,11 @@ def contaminate_reverse(
     """Reverse-phase observation at the transmitter, optionally contaminated.
 
     x0_clean is the attack-free observation H^T S0 + E0.  For an active
-    scenario the injected component G^T S0_bar plus a fresh noise draw is
-    added on top.  Injection requires n_u == n_l antennas at the attacker
+    scenario the injected component G^T S0_bar, with
+    S0_bar = sqrt(p0_bar t0 / n_l) c0_bar, plus a fresh noise draw is
+    added on top.  A replay ("known_pilot") sends the legitimate rows
+    legit_c0 as c0_bar; a guess draws independent orthonormal rows from
+    rng first.  Injection requires n_u == n_l antennas at the attacker
     so its pilot matrix can mirror the legitimate one.  A silent attacker
     (p0_bar = 0) transmits nothing, so it adds no front-end noise either:
     the clean observation comes back and nothing is drawn.
@@ -67,12 +69,12 @@ def contaminate_reverse(
         )
     if scenario.p0_bar == 0:
         return x0_clean
-    s0_bar = build_attack_signal(
-        cfg,
-        scenario.p0_bar,
-        strategy=scenario.mode,
-        rng=rng,
-        legit_c0=legit_c0,
-    )
+    if scenario.mode == "known_pilot":
+        if legit_c0 is None:
+            raise ValueError("a known_pilot replay requires the legitimate pilot matrix")
+        c0_bar = legit_c0
+    else:
+        c0_bar = orthonormal_rows(cfg.n_l, cfg.t0, mode="random", rng=rng)
+    s0_bar = np.sqrt(scenario.p0_bar * cfg.t0 / cfg.n_l) * c0_bar
     f0 = complex_gaussian(rng, cfg.n_t, cfg.t0, cfg.sigma0_sq)
     return x0_clean + g.T @ s0_bar + f0

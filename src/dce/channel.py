@@ -32,7 +32,8 @@ class SystemConfig:
     sigma_h_sq, sigma_g_sq: per-entry channel variances.
     sigma0_sq: receiver noise variance, p_ave: per-phase power budget,
     gamma: lower bound enforced on the eavesdropper's estimation NMSE.
-    Counts and lengths must be ints >= 1; NaN is rejected, infinity is not.
+    Counts and lengths must be ints >= 1 and the other fields ints or
+    floats (not bools); NaN is rejected, infinity is not.
     """
 
     n_t: int = 4
@@ -58,6 +59,10 @@ class SystemConfig:
             raise DimensionError(f"t0={self.t0} < n_l={self.n_l}: reverse pilots cannot be orthogonal")
         if self.t1 < self.n_t:
             raise DimensionError(f"t1={self.t1} < n_t={self.n_t}: forward pilots cannot be orthogonal")
+        for name in ("sigma_h_sq", "sigma_g_sq", "sigma0_sq", "p_ave", "gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("sigma_h_sq", "sigma_g_sq", "sigma0_sq"):
             if not getattr(self, name) >= 0:  # NaN fails every comparison
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")

@@ -71,14 +71,11 @@ def _snr_list(text: str) -> tuple[float, ...]:
 
 def _cmd_simulate(args) -> int:
     file_cfg = _load_config(args.config)
-    gamma = args.gamma if args.gamma is not None else file_cfg.get("gamma", 0.03)
-    cfg = _build_cfg(file_cfg, gamma=gamma)
     spec = ExperimentSpec(
-        cfg=cfg,
+        cfg=_build_cfg(file_cfg, gamma=args.gamma),
         scheme=args.scheme.replace("-", "_"),
         attack=AttackScenario(args.attack.replace("-", "_"), args.p0_bar),
         snr_db_grid=args.snr_db or tuple(file_cfg.get("snr_db_grid", (20.0,))),
-        gamma=gamma,
         trials=args.trials if args.trials is not None else int(file_cfg.get("trials", 20000)),
         master_seed=args.seed if args.seed is not None else int(file_cfg.get("master_seed", 0)),
     )
@@ -159,7 +156,7 @@ def _cmd_experiment(args) -> int:
     specs, description = figure_specs(args.figure, cfg, trials=args.trials, master_seed=args.seed)
     rows = []
     if args.figure == "fig2":
-        rows += allocation_rows(cfg, gamma=0.03, seed=args.seed)
+        rows += allocation_rows(cfg, seed=args.seed)
     for spec in specs:
         rows += run_experiment(spec, workers=args.workers)
     csv_path = out_dir / f"{args.figure}.csv"

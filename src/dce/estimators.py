@@ -14,11 +14,11 @@ build_forward_signal send orthonormal-row pilots scaled by sqrt(energy),
 so S S^H = energy I.  Then the whitening-rotation estimate reduces
 exactly to the least-squares pilot correlation obs S^H / energy, and the
 LMMSE estimate is that correlation times a scalar shrinkage.  The Monte
-Carlo trial computes the correlation directly; wr_estimate_lr /
-wr_estimate_ur keep the factorisation as the readable reference the
-tests compare it against.  They call np.linalg.svd as it comes: a phase
-on a singular pair cancels in U V^H and in the whitening-rotation
-product, so no phase convention is needed.
+Carlo trial computes pilot_correlation and shrinkage directly;
+wr_estimate_lr / wr_estimate_ur keep the factorisation as the readable
+reference the tests compare it against.  They call np.linalg.svd as it
+comes: a phase on a singular pair cancels in U V^H and in the
+whitening-rotation product, so no phase convention is needed.
 
 Every estimator returns the estimate as a plain array; the
 whitening-rotation reference returns (estimate, whitening, rotation).
@@ -34,11 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .training import ForwardSignal, ReverseSignal
 
 __all__ = [
-    "lmmse_uplink",
-    "lmmse_downlink",
     "blind_whitening_tx",
     "procrustes_rotation",
     "wr_estimate_lr",
@@ -64,54 +61,13 @@ def shrinkage(sigma_ch_sq: float, energy: float, sigma0_sq: float) -> float:
     Under S S^H = energy I the textbook estimate
     [sigma^2 (sigma^2 S S^H + sigma0^2 I)^-1 S obs^H]^H is the pilot
     correlation times alpha; a zero denominator means nothing to
-    estimate, and alpha is 0.
+    estimate, and alpha is 0.  A receiver knows only the pilot part of
+    the forward signal, so it counts the artificial-noise residue as
+    noise and regularises with sigma0^2 alone.
     """
     signal = sigma_ch_sq * energy
     total = signal + sigma0_sq
     return signal / total if total > 0 else 0.0
-
-
-def _lmmse(obs: np.ndarray, pilots: np.ndarray, energy: float, sigma_ch_sq: float, sigma0_sq: float) -> np.ndarray:
-    return shrinkage(sigma_ch_sq, energy, sigma0_sq) * pilot_correlation(obs, pilots, energy)
-
-
-def lmmse_uplink(
-    x0: np.ndarray,
-    reverse: ReverseSignal,
-    sigma_h_sq: float,
-    sigma0_sq: float,
-) -> np.ndarray:
-    """LMMSE estimate of the uplink channel from known reverse pilots.
-
-    The reverse pilots have orthonormal rows scaled to energy
-    a = p0 t0 / n_l, so the estimate is the pilot correlation X0 S0^H / a
-    times alpha = sigma_h^2 a / (sigma_h^2 a + sigma0^2), an (n_t, n_l)
-    estimate of H^T; alpha goes to 1 as sigma0_sq -> 0.
-    """
-    n_l, t0 = reverse.s0.shape
-    energy = reverse.p0 * t0 / n_l
-    return _lmmse(x0, reverse.s0, energy, sigma_h_sq, sigma0_sq)
-
-
-def lmmse_downlink(
-    x1: np.ndarray,
-    forward: ForwardSignal,
-    sigma_ch_sq: float,
-    sigma0_sq: float,
-) -> np.ndarray:
-    """LMMSE estimate of a downlink channel from the known forward pilots.
-
-    Only the pilot part of the forward signal is known to a receiver, so
-    the correlation uses s1_pilot, whose orthonormal rows are scaled to
-    energy x = p1 t1 / n_t; the artificial-noise residue is treated as
-    part of the additive noise and the receiver regularizes with
-    sigma0_sq alone.  The estimate is X1 S1p^H / x times
-    alpha = sigma_ch^2 x / (sigma_ch^2 x + sigma0^2), oriented (rx, n_t)
-    as the downlink channel.
-    """
-    n_t, t1 = forward.s1_pilot.shape
-    energy = forward.p1 * t1 / n_t
-    return _lmmse(x1, forward.s1_pilot, energy, sigma_ch_sq, sigma0_sq)
 
 
 def blind_whitening_tx(x0: np.ndarray, p0: float, t0: int, n_l: int) -> np.ndarray:

@@ -28,11 +28,11 @@ P0_BAR_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
 FIGURES = ("fig2", "fig3a", "fig3b", "fig3c", "fig4a", "fig4b", "fig4c")
 
 
-def allocation_rows(cfg: SystemConfig, gamma: float, snr_db_grid=SNR_GRID, seed: int = 0) -> list[ResultRow]:
-    """Power split per SNR point, no simulation (figure 2)."""
+def allocation_rows(cfg: SystemConfig, snr_db_grid=SNR_GRID, seed: int = 0) -> list[ResultRow]:
+    """Power split per SNR point at gamma = 0.03, no simulation (figure 2)."""
     rows = []
     for snr_db in snr_db_grid:
-        point = replace(cfg, gamma=gamma, sigma0_sq=snr_to_sigma0_sq(snr_db))
+        point = replace(cfg, gamma=0.03, sigma0_sq=snr_to_sigma0_sq(snr_db))
         alloc = solve(PowerAllocationProblem(point))
         rows.append(
             ResultRow(
@@ -69,9 +69,8 @@ def figure_specs(
 
     def spec(scheme, gamma, attack=None, **kw):
         return ExperimentSpec(
-            cfg=cfg,
+            cfg=replace(cfg, gamma=gamma),
             scheme=scheme,
-            gamma=gamma,
             attack=attack or AttackScenario(),
             trials=trials,
             master_seed=master_seed,

@@ -53,7 +53,7 @@ from . import analysis
 from .attack import AttackScenario, contaminate_reverse
 from .channel import SystemConfig, sample_channels
 from .errors import DimensionError, InfeasibleConfigError, NumericalError
-from .estimators import blind_whitening_tx, lmmse_downlink, lmmse_uplink, pilot_correlation, shrinkage
+from .estimators import blind_whitening_tx, pilot_correlation, shrinkage
 from .linalg import RngStream, complex_gaussian
 from .power_allocation import PowerAllocation, PowerAllocationProblem, solve
 from .training import build_an_basis, build_forward_signal, build_reverse_signal
@@ -80,13 +80,12 @@ _MAIN, _REV_PILOT, _ATTACK = range(3)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep: scheme, attack, grids, trial count, and seed."""
+    """One sweep: scheme, attack, grids, trial count, and seed; cfg.gamma is the eavesdropper's floor."""
 
     cfg: SystemConfig
     scheme: str = "wr"
     attack: AttackScenario = field(default_factory=AttackScenario)
     snr_db_grid: tuple[float, ...] = (20.0,)
-    gamma: float = 0.03
     trials: int = 20000
     master_seed: int = 0
     t1_grid: tuple[int, ...] | None = None
@@ -111,6 +110,11 @@ class ExperimentSpec:
             raise DimensionError(
                 f"pilot injection needs n_u == n_l to mirror the pilot shape, got n_u={n_u}, n_l={n_l}"
             )
+
+    @property
+    def gamma(self) -> float:
+        """The floor on the eavesdropper's NMSE, cfg.gamma."""
+        return self.cfg.gamma
 
     def sweep(self) -> list[tuple[str, float]]:
         """(kind, value) pairs of the active sweep dimension."""
@@ -172,7 +176,8 @@ def run_trial(
         if scheme == "wr":
             uplink = blind_whitening_tx(x0, allocation.p0, cfg.t0, cfg.n_l)
         else:
-            uplink = lmmse_uplink(x0, reverse, cfg.sigma_h_sq, cfg.sigma0_sq)
+            a = allocation.p0 * cfg.t0 / cfg.n_l
+            uplink = shrinkage(cfg.sigma_h_sq, a, cfg.sigma0_sq) * pilot_correlation(x0, reverse.s0, a)
     an_basis = build_an_basis(uplink)
 
     # forward phase
@@ -180,15 +185,14 @@ def run_trial(
     x1 = ch.h @ forward.s1 + complex_gaussian(main, cfg.n_l, cfg.t1, cfg.sigma0_sq)
     y1 = ch.g @ forward.s1 + complex_gaussian(main, cfg.n_u, cfg.t1, cfg.sigma0_sq)
 
-    # estimation at both receivers
+    # estimation at both receivers: the whitening-rotation estimates
+    # (wr_estimate_lr / _ur) equal the pilot correlation, the LMMSE ones shrink it
+    x = allocation.p1 * cfg.t1 / cfg.n_t
+    h_hat = pilot_correlation(x1, forward.s1_pilot, x)
+    g_hat = pilot_correlation(y1, forward.s1_pilot, x)
     if scheme == "lmmse":
-        h_hat = lmmse_downlink(x1, forward, cfg.sigma_h_sq, cfg.sigma0_sq)
-        g_hat = lmmse_downlink(y1, forward, cfg.sigma_g_sq, cfg.sigma0_sq)
-    else:
-        # the whitening-rotation estimates (wr_estimate_lr / _ur) equal these
-        x = allocation.p1 * cfg.t1 / cfg.n_t
-        h_hat = pilot_correlation(x1, forward.s1_pilot, x)
-        g_hat = pilot_correlation(y1, forward.s1_pilot, x)
+        h_hat = shrinkage(cfg.sigma_h_sq, x, cfg.sigma0_sq) * h_hat
+        g_hat = shrinkage(cfg.sigma_g_sq, x, cfg.sigma0_sq) * g_hat
 
     return (
         analysis.empirical_nmse(h_hat, ch.h),
@@ -478,7 +482,7 @@ def _solve_point(
 ) -> tuple[float, SystemConfig, AttackScenario, PowerAllocation | None]:
     """(sweep value, config, attack, allocation) of one sweep point; no allocation if infeasible."""
     snr_db = value if kind == "snr_db" else spec.snr_db_grid[0]
-    cfg = replace(spec.cfg, gamma=spec.gamma, sigma0_sq=analysis.snr_to_sigma0_sq(snr_db))
+    cfg = replace(spec.cfg, sigma0_sq=analysis.snr_to_sigma0_sq(snr_db))
     if kind == "t1":
         cfg = replace(cfg, t1=int(value))
     attack = AttackScenario(spec.attack.mode, value) if kind == "p0_bar" else spec.attack
@@ -488,15 +492,34 @@ def _solve_point(
         return value, cfg, attack, None
 
 
-CSV_HEADER = "sweep,scheme,attack,p1,sigma_a_sq,p0,nmse_lr_emp,nmse_lr_cf,nmse_ur_emp,nmse_ur_cf,trials,seed"
-
-
 def _fmt(value: float | None) -> str:
     if value is None:
         return ""
     return np.format_float_positional(
         float(value), unique=True, fractional=False, min_digits=6, trim="k"
     )
+
+
+def _parse(cell: str) -> float | None:
+    return None if cell == "" else float(cell)
+
+
+# The CSV schema, in column order: (column, ResultRow field, formatter, parser).
+_COLUMNS = (
+    ("sweep", "sweep_value", _fmt, float),
+    ("scheme", "scheme", str, str),
+    ("attack", "attack_mode", str, str),
+    ("p1", "p1", _fmt, _parse),
+    ("sigma_a_sq", "sigma_a_sq", _fmt, _parse),
+    ("p0", "p0", _fmt, _parse),
+    ("nmse_lr_emp", "nmse_lr_emp", _fmt, _parse),
+    ("nmse_lr_cf", "nmse_lr_cf", _fmt, _parse),
+    ("nmse_ur_emp", "nmse_ur_emp", _fmt, _parse),
+    ("nmse_ur_cf", "nmse_ur_cf", _fmt, _parse),
+    ("trials", "trials", str, int),
+    ("seed", "seed", str, int),
+)
+CSV_HEADER = ",".join(column for column, *_ in _COLUMNS)
 
 
 def emit_csv(rows: list[ResultRow], path: str | os.PathLike) -> None:
@@ -509,25 +532,7 @@ def emit_csv(rows: list[ResultRow], path: str | os.PathLike) -> None:
     files are cut, so a path such as /dev/stdout works too.
     """
     lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.sweep_value),
-                    r.scheme,
-                    r.attack_mode,
-                    _fmt(r.p1),
-                    _fmt(r.sigma_a_sq),
-                    _fmt(r.p0),
-                    _fmt(r.nmse_lr_emp),
-                    _fmt(r.nmse_lr_cf),
-                    _fmt(r.nmse_ur_emp),
-                    _fmt(r.nmse_ur_cf),
-                    str(r.trials),
-                    str(r.seed),
-                ]
-            )
-        )
+    lines += (",".join(fmt(getattr(r, name)) for _, name, fmt, _ in _COLUMNS) for r in rows)
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -539,31 +544,11 @@ def emit_csv(rows: list[ResultRow], path: str | os.PathLike) -> None:
 
 def read_csv(path: str | os.PathLike) -> list[ResultRow]:
     """Parse a file written by emit_csv back into rows."""
-
-    def parse(cell: str) -> float | None:
-        return None if cell == "" else float(cell)
-
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected header")
-    rows = []
-    for ln in lines[1:]:
-        c = ln.split(",")
-        rows.append(
-            ResultRow(
-                sweep_value=float(c[0]),
-                scheme=c[1],
-                attack_mode=c[2],
-                p1=parse(c[3]),
-                sigma_a_sq=parse(c[4]),
-                p0=parse(c[5]),
-                nmse_lr_emp=parse(c[6]),
-                nmse_lr_cf=parse(c[7]),
-                nmse_ur_emp=parse(c[8]),
-                nmse_ur_cf=parse(c[9]),
-                trials=int(c[10]),
-                seed=int(c[11]),
-            )
-        )
-    return rows
+    return [
+        ResultRow(**{name: parse(cell) for (_, name, _, parse), cell in zip(_COLUMNS, ln.split(","), strict=True)})
+        for ln in lines[1:]
+    ]

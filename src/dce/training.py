@@ -4,7 +4,6 @@ Reverse phase: the legitimate receiver sends orthogonal-row pilots, either
 fixed/public (baseline scheme) or freshly drawn and private (semiblind
 scheme).  Forward phase: the transmitter sends public orthogonal pilots
 plus artificial noise confined to the null space of its uplink estimate.
-The attacker's pilot injection signal mirrors the reverse pilot structure.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "build_reverse_signal",
     "build_an_basis",
     "build_forward_signal",
-    "build_attack_signal",
 ]
 
 
@@ -33,7 +31,6 @@ class ReverseSignal:
 
     s0: np.ndarray
     c0: np.ndarray
-    p0: float
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,6 @@ class ForwardSignal:
 
     s1: np.ndarray
     s1_pilot: np.ndarray
-    p1: float
 
 
 def build_reverse_signal(
@@ -65,7 +61,7 @@ def build_reverse_signal(
         raise ValueError("p0 must be > 0")
     c0 = orthonormal_rows(cfg.n_l, cfg.t0, mode=mode, rng=rng)
     s0 = np.sqrt(p0 * cfg.t0 / cfg.n_l) * c0
-    return ReverseSignal(s0=s0, c0=c0, p0=p0)
+    return ReverseSignal(s0=s0, c0=c0)
 
 
 def build_an_basis(uplink_estimate: np.ndarray) -> np.ndarray:
@@ -109,30 +105,4 @@ def build_forward_signal(
     c1 = orthonormal_rows(cfg.n_t, cfg.t1, mode="fixed")
     s1_pilot = np.sqrt(p1 * cfg.t1 / cfg.n_t) * c1
     an = complex_gaussian(rng, cfg.n_t - cfg.n_l, cfg.t1, sigma_a_sq)
-    return ForwardSignal(s1=s1_pilot + an_basis @ an, s1_pilot=s1_pilot, p1=p1)
-
-
-def build_attack_signal(
-    cfg: SystemConfig,
-    p0_bar: float,
-    strategy: str = "guess",
-    rng: np.random.Generator | None = None,
-    legit_c0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Contaminating reverse pilots s0_bar = sqrt(p0_bar t0 / n_l) c0_bar.
-
-    strategy="known_pilot" replays the legitimate pilot matrix c0 (possible
-    only when pilots are public); strategy="guess" draws independent
-    orthonormal rows c0_bar.  p0_bar = 0 yields a silent attacker.
-    """
-    if p0_bar < 0:
-        raise ValueError("p0_bar must be >= 0")
-    if strategy == "known_pilot":
-        if legit_c0 is None:
-            raise ValueError("known_pilot strategy requires the legitimate pilot matrix")
-        c0_bar = legit_c0
-    elif strategy == "guess":
-        c0_bar = orthonormal_rows(cfg.n_l, cfg.t0, mode="random", rng=rng)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return np.sqrt(p0_bar * cfg.t0 / cfg.n_l) * c0_bar
+    return ForwardSignal(s1=s1_pilot + an_basis @ an, s1_pilot=s1_pilot)

@@ -17,11 +17,10 @@ def cfg():
 def cached_rows(scheme, attack_mode, p0_bar, snr_db_grid, gamma, trials, seed=MASTER_SEED, workers=1):
     """Shared Monte Carlo runs so acceptance criteria reuse identical sweeps."""
     spec = ExperimentSpec(
-        cfg=SystemConfig(),
+        cfg=SystemConfig(gamma=gamma),
         scheme=scheme,
         attack=AttackScenario(attack_mode, p0_bar),
         snr_db_grid=snr_db_grid,
-        gamma=gamma,
         trials=trials,
         master_seed=seed,
     )

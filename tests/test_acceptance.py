@@ -199,11 +199,10 @@ def test_criterion_7_attack_robustness():
     b_ratio_ok = wr_att_row.nmse_lr_emp <= 2 * wr_clean
     # (c) attack power sweep
     sweep_spec = ExperimentSpec(
-        cfg=CFG,
+        cfg=make_cfg(gamma=gamma),
         scheme="wr",
         attack=AttackScenario("guess", 1.0),
         snr_db_grid=snr,
-        gamma=gamma,
         trials=TRIALS,
         master_seed=20240,
         p0_bar_grid=tuple(round(0.1 * k, 1) for k in range(1, 11)),

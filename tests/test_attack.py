@@ -9,16 +9,15 @@ from dce import (
     PowerAllocationProblem,
     RngStream,
     SystemConfig,
-    build_attack_signal,
     build_reverse_signal,
     contaminate_reverse,
-    lmmse_uplink,
     run_trial,
     sample_channels,
     snr_to_sigma0_sq,
     solve,
 )
 from dce.errors import DimensionError
+from dce.estimators import pilot_correlation
 
 CFG = SystemConfig()
 
@@ -50,8 +49,30 @@ def test_contaminate_known_pilot_steers_towards_sum_channel():
     out = contaminate_reverse(
         x0, ch.g, AttackScenario("known_pilot", 1.0), cfg, RngStream(3).substream(), legit_c0=rs.c0
     )
-    est = lmmse_uplink(out, rs, cfg.sigma_h_sq, cfg.sigma0_sq)
+    # without noise the LMMSE estimate is the pilot correlation itself
+    est = pilot_correlation(out, rs.s0, cfg.t0 / cfg.n_l)
     assert np.linalg.norm(est - (ch.h.T + ch.g.T)) <= 1e-9
+
+
+def injected_pilots(cfg, scenario, rng, legit_c0=None):
+    """The attacker's pilots S0_bar as contaminate_reverse sends them: noise-free, through G = [I 0]."""
+    cfg = dataclasses.replace(cfg, sigma0_sq=0.0)
+    out = contaminate_reverse(
+        np.zeros((cfg.n_t, cfg.t0), dtype=complex), np.eye(cfg.n_u, cfg.n_t), scenario, cfg, rng, legit_c0=legit_c0
+    )
+    return out[: cfg.n_l]
+
+
+def test_contaminate_guess_sends_orthonormal_rows():
+    s0_bar = injected_pilots(CFG, AttackScenario("guess", 1.0), RngStream(13).substream())
+    # s0_bar s0_bar^H = (p0_bar t0 / n_l) I
+    gram = s0_bar @ s0_bar.conj().T
+    assert np.linalg.norm(gram - 1.0 * CFG.t0 / CFG.n_l * np.eye(CFG.n_l)) <= 1e-12
+
+
+def test_contaminate_known_pilot_needs_c0():
+    with pytest.raises(ValueError, match="legitimate pilot matrix"):
+        injected_pilots(CFG, AttackScenario("known_pilot", 1.0), RngStream(14).substream())
 
 
 def test_contaminate_needs_matching_antennas():
@@ -73,7 +94,7 @@ def test_guess_cross_correlation_decays_with_t0():
         trials = 200
         for _ in range(trials):
             rs = build_reverse_signal(cfg, 1.0, mode="random", rng=rng)
-            s0_bar = build_attack_signal(cfg, 1.0, strategy="guess", rng=rng)
+            s0_bar = injected_pilots(cfg, AttackScenario("guess", 1.0), rng)
             acc += np.linalg.norm(s0_bar @ rs.s0.conj().T) / (1.0 * t0)
         means.append(acc / trials)
     assert means[0] > means[1] > means[2]

@@ -1,13 +1,17 @@
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dce.channel import SystemConfig
 from dce.cli import main
 from dce.presets import FIGURES
 from dce.simulate import CSV_HEADER, read_csv
@@ -69,6 +73,7 @@ def test_non_finite_values_exit_4(command, config, tmp_path, capsys):
         {"sigma_h_sq": float("nan")},
         {"gamma": float("nan")},
         {"p_ave": float("nan")},
+        {"gamma": "x"},
     ],
     ids=lambda config: "{}={}".format(*next(iter(config.items()))),
 )
@@ -80,6 +85,34 @@ def test_invalid_config_exits_1(command, config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from([f.name for f in dataclasses.fields(SystemConfig)]),
+    value=st.sampled_from([0, -1, -0.5, float("nan"), float("inf"), float("-inf"), 2.5, "x", True]),
+)
+def test_every_config_value_gets_a_documented_exit_code(field, value):
+    # a usage error (1) for a wrong type, NaN, a count or length that is not
+    # an int >= 1, and a value below a float field's range; infinities are
+    # not usage errors and end in 0, 2 or 4 (see test_non_finite_values_exit_4)
+    invalid = (
+        type(value) not in (int, float)
+        or value != value
+        or field in ("n_t", "n_l", "n_u", "t0", "t1")
+        or value < 0
+        or (value == 0 and field in ("p_ave", "gamma"))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        for command in (["power-alloc"], ["closed-form"], ["simulate", "--trials", "3"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main([*command, "--config", str(cfg_path)])
+            assert code == 1 if invalid else code in (0, 2, 4)
+            lines = err.getvalue().splitlines()
+            assert len(lines) == (code != 0)
+            assert not lines or lines[0].startswith(("error: ", "infeasible configuration: ", "numerical failure: "))
 
 
 def test_closed_form_with_attack(capsys):

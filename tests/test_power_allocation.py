@@ -172,7 +172,7 @@ def test_solve_beats_oracle_on_random_configs():
 def test_low_snr_split_jams_and_discriminates():
     # at 2 dB the allocator must still jam: the LR sits well below the
     # eavesdropper's floor, which stays active
-    spec = ExperimentSpec(cfg=CFG, scheme="wr", snr_db_grid=(2.0,), gamma=0.03, trials=2000, master_seed=5)
+    spec = ExperimentSpec(cfg=make_cfg(gamma=0.03), scheme="wr", snr_db_grid=(2.0,), trials=2000, master_seed=5)
     row = run_experiment(spec)[0]
     assert row.sigma_a_sq > 0
     assert row.nmse_lr_emp < 0.9 * 0.03

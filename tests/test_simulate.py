@@ -15,12 +15,10 @@ from dce import (
     SystemConfig,
     blind_whitening_tx,
     build_an_basis,
-    build_attack_signal,
     build_reverse_signal,
     complex_gaussian,
     contaminate_reverse,
     emit_csv,
-    lmmse_uplink,
     nmse_lr_closed,
     orthonormal_rows,
     read_csv,
@@ -32,6 +30,7 @@ from dce import (
 )
 from dce import simulate
 from dce.errors import DimensionError, NumericalError
+from dce.estimators import pilot_correlation, shrinkage
 from dce.simulate import CSV_HEADER, ResultRow
 
 from conftest import make_cfg
@@ -120,7 +119,7 @@ def test_experiment_infeasible_point_marked_and_run_continues():
     # at -10 dB the noise floor pushes the feasible threshold range above
     # gamma; the 20 dB point still runs
     spec = ExperimentSpec(
-        cfg=CFG, scheme="wr", snr_db_grid=(-10.0, 20.0), gamma=0.03, trials=50, master_seed=1
+        cfg=make_cfg(gamma=0.03), scheme="wr", snr_db_grid=(-10.0, 20.0), trials=50, master_seed=1
     )
     rows = run_experiment(spec)
     assert rows[0].trials == 0 and rows[0].nmse_lr_emp is None
@@ -205,7 +204,7 @@ def test_lmmse_ur_sits_at_design_floor():
     # the baseline's shrinkage shaves the UR below it, by 0.1% at this 20 dB
     # point but by 2-5% at 5 dB, so proximity is the meaningful assertion,
     # not a one-sided bound
-    spec = ExperimentSpec(cfg=CFG, scheme="lmmse", snr_db_grid=(20.0,), gamma=0.03, trials=2000, master_seed=11)
+    spec = ExperimentSpec(cfg=make_cfg(gamma=0.03), scheme="lmmse", snr_db_grid=(20.0,), trials=2000, master_seed=11)
     row = run_experiment(spec)[0]
     assert abs(row.nmse_ur_emp - 0.03) / 0.03 <= 0.10
 
@@ -433,16 +432,16 @@ def replayed_statistics(cfg, alloc, scheme, attack, stream):
         c0, x0 = reverse.c0, ch.h.T @ reverse.s0 + e0
         if attacked:
             attack_rng = stream.substream(simulate._ATTACK)
-            s0_bar = build_attack_signal(cfg, attack.p0_bar, attack.mode, attack_rng, legit_c0=c0)
+            c0_bar = c0 if attack.mode == "known_pilot" else orthonormal_rows(n_l, cfg.t0, "random", attack_rng)
             f0 = complex_gaussian(attack_rng, n_t, cfg.t0, cfg.sigma0_sq)
-            c0_bar = s0_bar / np.sqrt(attack.p0_bar * cfg.t0 / n_l)
             observed = contaminate_reverse(x0, ch.g, attack, cfg, stream.substream(simulate._ATTACK), legit_c0=c0)
-            x0 = x0 + ch.g.T @ s0_bar + f0
+            x0 = x0 + ch.g.T @ (np.sqrt(attack.p0_bar * cfg.t0 / n_l) * c0_bar) + f0
             assert np.array_equal(x0, observed)
         if scheme == "wr":
             uplink = blind_whitening_tx(x0, alloc.p0, cfg.t0, n_l)
         else:
-            uplink = lmmse_uplink(x0, reverse, cfg.sigma_h_sq, cfg.sigma0_sq)
+            a = alloc.p0 * cfg.t0 / n_l
+            uplink = shrinkage(cfg.sigma_h_sq, a, cfg.sigma0_sq) * pilot_correlation(x0, reverse.s0, a)
     n_rt = build_an_basis(uplink)
     a = complex_gaussian(main, n_t - n_l, cfg.t1, alloc.sigma_a_sq)
     e1 = complex_gaussian(main, n_l, cfg.t1, cfg.sigma0_sq)

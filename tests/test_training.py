@@ -6,15 +6,14 @@ from dce import (
     SystemConfig,
     blind_whitening_tx,
     build_an_basis,
-    build_attack_signal,
     build_forward_signal,
     build_reverse_signal,
     complex_gaussian,
-    lmmse_uplink,
     orthonormal_rows,
     sample_channels,
 )
 from dce.errors import DimensionError, NumericalError
+from dce.estimators import pilot_correlation, shrinkage
 
 from conftest import make_cfg
 
@@ -76,7 +75,8 @@ def test_an_basis_projector_is_the_svd_complement(scheme):
             est = blind_whitening_tx(x0, 1.0, CFG.t0, CFG.n_l)
             u = np.linalg.svd(x0 @ x0.conj().T)[0]
         elif scheme == "lmmse":
-            est = lmmse_uplink(x0, rs, CFG.sigma_h_sq, 0.01)
+            a = CFG.t0 / CFG.n_l
+            est = shrinkage(CFG.sigma_h_sq, a, 0.01) * pilot_correlation(x0, rs.s0, a)
             u = np.linalg.svd(est)[0]
         else:
             est = ch.h.T
@@ -143,29 +143,6 @@ def test_forward_signal_power_accounting():
         acc += np.real(np.vdot(n @ an, n @ an)) / CFG.t1
     expected = (CFG.n_t - CFG.n_l) * sigma_a_sq
     assert abs(acc / trials / expected - 1.0) <= 0.02
-
-
-def test_attack_signal_known_pilot_copies():
-    rs = build_reverse_signal(CFG, p0=1.0, mode="fixed")
-    s0_bar = build_attack_signal(CFG, p0_bar=1.0, strategy="known_pilot", legit_c0=rs.c0)
-    assert np.allclose(s0_bar, rs.s0)
-
-
-def test_attack_signal_zero_power():
-    s0_bar = build_attack_signal(CFG, p0_bar=0.0, strategy="guess", rng=RngStream(12).substream())
-    assert np.all(s0_bar == 0)
-
-
-def test_attack_signal_guess_orthonormal():
-    s0_bar = build_attack_signal(CFG, p0_bar=1.0, strategy="guess", rng=RngStream(13).substream())
-    # s0_bar s0_bar^H = (p0_bar t0 / n_l) I
-    gram = s0_bar @ s0_bar.conj().T
-    assert np.linalg.norm(gram - 1.0 * CFG.t0 / CFG.n_l * np.eye(CFG.n_l)) <= 1e-12
-
-
-def test_attack_signal_known_pilot_needs_c0():
-    with pytest.raises(ValueError):
-        build_attack_signal(CFG, p0_bar=1.0, strategy="known_pilot")
 
 
 def test_an_basis_rejects_square():
