@@ -1,9 +1,10 @@
 import dataclasses
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from dce import AttackScenario, ExperimentSpec, SystemConfig, run_experiment
+from dce import AttackScenario, ExperimentSpec, SystemConfig, contaminate_reverse, run_experiment
 
 MASTER_SEED = 20240
 
@@ -29,3 +30,12 @@ def cached_rows(scheme, attack_mode, p0_bar, snr_db_grid, gamma, trials, seed=MA
 
 def make_cfg(**kw):
     return dataclasses.replace(SystemConfig(), **kw)
+
+
+def injected_pilots(cfg, scenario, rng, legit_c0=None):
+    """The attacker's pilots S0_bar as contaminate_reverse sends them: noise-free, through G = [I 0]."""
+    cfg = dataclasses.replace(cfg, sigma0_sq=0.0)
+    out = contaminate_reverse(
+        np.zeros((cfg.n_t, cfg.t0), dtype=complex), np.eye(cfg.n_u, cfg.n_t), scenario, cfg, rng, legit_c0=legit_c0
+    )
+    return out[: cfg.n_l]

@@ -19,6 +19,8 @@ from dce import (
 from dce.errors import DimensionError
 from dce.estimators import pilot_correlation
 
+from conftest import injected_pilots
+
 CFG = SystemConfig()
 
 
@@ -52,15 +54,6 @@ def test_contaminate_known_pilot_steers_towards_sum_channel():
     # without noise the LMMSE estimate is the pilot correlation itself
     est = pilot_correlation(out, rs.s0, cfg.t0 / cfg.n_l)
     assert np.linalg.norm(est - (ch.h.T + ch.g.T)) <= 1e-9
-
-
-def injected_pilots(cfg, scenario, rng, legit_c0=None):
-    """The attacker's pilots S0_bar as contaminate_reverse sends them: noise-free, through G = [I 0]."""
-    cfg = dataclasses.replace(cfg, sigma0_sq=0.0)
-    out = contaminate_reverse(
-        np.zeros((cfg.n_t, cfg.t0), dtype=complex), np.eye(cfg.n_u, cfg.n_t), scenario, cfg, rng, legit_c0=legit_c0
-    )
-    return out[: cfg.n_l]
 
 
 def test_contaminate_guess_sends_orthonormal_rows():

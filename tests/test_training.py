@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dce import (
+    AttackScenario,
     RngStream,
     SystemConfig,
     blind_whitening_tx,
@@ -15,7 +16,7 @@ from dce import (
 from dce.errors import DimensionError, NumericalError
 from dce.estimators import pilot_correlation, shrinkage
 
-from conftest import make_cfg
+from conftest import injected_pilots, make_cfg
 
 CFG = SystemConfig()
 
@@ -143,6 +144,17 @@ def test_forward_signal_power_accounting():
         acc += np.real(np.vdot(n @ an, n @ an)) / CFG.t1
     expected = (CFG.n_t - CFG.n_l) * sigma_a_sq
     assert abs(acc / trials / expected - 1.0) <= 0.02
+
+
+def test_attack_signal_known_pilot_copies():
+    rs = build_reverse_signal(CFG, p0=1.0, mode="fixed")
+    s0_bar = injected_pilots(CFG, AttackScenario("known_pilot", 1.0), RngStream(11).substream(), legit_c0=rs.c0)
+    assert np.allclose(s0_bar, rs.s0)
+
+
+def test_attack_signal_zero_power():
+    s0_bar = injected_pilots(CFG, AttackScenario("guess", 0.0), RngStream(12).substream())
+    assert np.all(s0_bar == 0)
 
 
 def test_an_basis_rejects_square():
